@@ -52,14 +52,14 @@
 //
 // # Parallelism
 //
-// Both compute stages of the estimators parallelize within a single query
-// over Options.Parallelism goroutines: the Monte-Carlo walk stage runs
-// sharded (a fixed shard set with per-shard RNGs, merged in shard order),
-// and the push phase scans each hop's sorted frontier in contiguous chunks
-// (a chunk set fixed by the frontier size, merged in chunk order).  For a
-// fixed Options.Seed the result is bit-identical at any parallelism, so
-// parallelism is purely a latency knob.  Inside an Engine, workers, push
-// chunks and walk shards share the EngineConfig.CPUTokens budget: a lone
+// The push phase is one serial loop per source; the Monte-Carlo walk stage
+// parallelizes within a single query over Options.Parallelism goroutines.
+// It runs sharded: a fixed shard set with per-shard RNGs, each shard
+// recording its walks' end nodes (O(walks) memory, no n-sized state per
+// shard), merged in (shard, walk) order.  For a fixed Options.Seed the
+// result is bit-identical at any parallelism, so parallelism is purely a
+// latency knob.  Inside an Engine, workers and walk shards share the
+// EngineConfig.CPUTokens budget: a lone
 // heavy query fans out across idle cores, a loaded engine degrades to one
 // core per query.  With EngineConfig.Adaptive the engine picks each query's
 // parallelism from the live queue depth and free tokens instead of a static

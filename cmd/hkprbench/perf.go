@@ -79,7 +79,6 @@ type perfPoint struct {
 	PushPhaseShare float64 `json:"push_phase_share"`
 	RandomWalks    int64   `json:"random_walks"`
 	WalkShards     int     `json:"walk_shards"`
-	PushChunks     int64   `json:"push_chunks"`
 	Iterations     int     `json:"iterations"`
 	// Update-entry extras: batches a concurrent writer published during the
 	// measurement, background compactions that ran, and the p99 of the
@@ -132,8 +131,8 @@ type perfReport struct {
 // otherwise early-terminate during its budgeted push (walk share 0% at every
 // P), so a hop cap of 1 (tiny C) stops its push almost immediately; TEA gets
 // a loose rmax for the same reason.  "teapush" is the push-phase counterpart:
-// TEA at its default tight rmax is push-dominated, so its P trajectory tracks
-// the chunked parallel frontier scans rather than the walk shards.
+// TEA at its default tight rmax is push-dominated, so it tracks the serial
+// push.
 var perfMethods = []struct {
 	slug   string
 	method hkpr.Method
@@ -730,7 +729,6 @@ func perfMeasureServe(g *hkpr.Graph, opts hkpr.Options, parallelism int) (perfPo
 		BytesPerOp:  res.AllocedBytesPerOp(),
 		RandomWalks: probe.Result.Stats.RandomWalks,
 		WalkShards:  probe.Result.Stats.WalkShards,
-		PushChunks:  probe.Result.Stats.PushChunks,
 		Iterations:  res.N,
 	}, nil
 }
@@ -780,7 +778,6 @@ func perfMeasure(g *hkpr.Graph, method hkpr.Method, opts hkpr.Options, paralleli
 		PushPhaseShare: pushShare,
 		RandomWalks:    probe.Stats.RandomWalks,
 		WalkShards:     probe.Stats.WalkShards,
-		PushChunks:     probe.Stats.PushChunks,
 		Iterations:     res.N,
 	}, nil
 }

@@ -57,9 +57,9 @@
 //	-queue N       admission-queue depth; excess load is shed (default 4×workers)
 //	-cache-mb N    result-cache budget in MiB; 0 disables (default 64)
 //	-timeout D     per-query execution deadline, e.g. 5s; 0 disables (default 10s)
-//	-parallel N    per-query push/walk parallelism; results are bit-identical
-//	               at any value, so it is purely a latency knob (default 0 =
-//	               serial unless -adaptive)
+//	-parallel N    per-query walk-shard parallelism (the push is serial);
+//	               results are bit-identical at any value, so it is purely a
+//	               latency knob (default 0 = serial unless -adaptive)
 //	-adaptive      choose per-query parallelism from live load instead: idle
 //	               engine → whole CPU budget per query, saturated queue → serial
 //	               (an explicit -parallel value caps the adaptive choice;
@@ -68,7 +68,7 @@
 //	               exponentially weighted moving average (α ∈ (0,1], default 1
 //	               = instantaneous); small α stops P oscillating under bursty
 //	               load
-//	-cpu-tokens N  shared CPU budget for workers + push chunks + walk shards
+//	-cpu-tokens N  shared CPU budget for workers + walk shards
 //	               (default max(workers, GOMAXPROCS))
 //	-compact-delta N   background-compact the delta overlay back into CSR
 //	               after N accumulated update operations (0 = library
@@ -128,10 +128,10 @@ func run(args []string) error {
 		queue     = fs.Int("queue", 0, "admission queue depth (0 = 4×workers)")
 		cacheMB   = fs.Int("cache-mb", 64, "result cache budget in MiB (0 disables)")
 		timeout   = fs.Duration("timeout", 10*time.Second, "per-query execution deadline (0 disables)")
-		parallel  = fs.Int("parallel", 0, "per-query push/walk parallelism (0 = serial unless -adaptive; subject to free CPU tokens)")
+		parallel  = fs.Int("parallel", 0, "per-query walk-shard parallelism; the push is serial (0 = serial unless -adaptive; subject to free CPU tokens)")
 		adaptive  = fs.Bool("adaptive", false, "choose per-query parallelism adaptively from queue depth and free CPU tokens (an explicit -parallel caps it)")
 		adaptEWMA = fs.Float64("adaptive-ewma", 1, "EWMA smoothing factor α in (0,1] for the queue depth the adaptive choice sees; 1 = instantaneous, smaller = smoother under bursty load")
-		cpuTokens = fs.Int("cpu-tokens", 0, "shared CPU token budget for workers, push chunks and walk shards (0 = max(workers, GOMAXPROCS))")
+		cpuTokens = fs.Int("cpu-tokens", 0, "shared CPU token budget for workers and walk shards (0 = max(workers, GOMAXPROCS))")
 		batchWin  = fs.Duration("batch-window", 0, "hold admitted queries up to this long so same-options queries share one batched multi-source execution (0 disables)")
 		batchMaxK = fs.Int("batch-max-k", 0, "flush a batching-window group early at this many queries (0 = 8)")
 		traceBuf  = fs.Int("trace-buffer", 256, "completed-query trace ring capacity served at /debug/queries (0 disables)")

@@ -242,41 +242,60 @@ func teaGroup(g *graph.Snapshot, o Options, w *heatkernel.Weights, ctl execCtl, 
 	}
 
 	// Stage 1: seed injection (unit mass at hop 0, as in hkPush) and the
-	// shared-scan push.  The push wall time is shared, so every lane reports
-	// the group's push duration.
+	// shared-scan push.  Shared work is split evenly over the lanes it
+	// served, so per-lane stage times sum to the group's wall time instead of
+	// counting the shared scan once per lane.
 	pushStart := time.Now()
+	served := 0
 	for i := range lanes {
 		if lanes[i].err != nil {
 			continue
 		}
 		st.resid.level(0).setLane(lanes[i].seed, i, 1)
 		lanes[i].hops = 1
+		served++
 	}
 	batchPushTEA(g, st, lanes, w, rmax, maxHops)
-	pushTime := time.Since(pushStart)
+	pushShare := time.Since(pushStart) / time.Duration(max(served, 1))
 
 	// The shared scan sorts each hop's touched list as it drains it; levels
 	// the hop loop never reached (final residues) are sorted here so every
-	// touched list is ascending — the fused sweeps and per-lane collection
-	// below rely on it.  Already-sorted levels re-derive via the linear mask
-	// scan or a cheap detection pass inside the sort.
+	// touched list is ascending — the fused collection below relies on it.
+	// Already-sorted levels re-derive via the linear mask scan or a cheap
+	// detection pass inside the sort.  Sorting and collecting every lane's
+	// walk entries is shared planning; the reserve sums feed only the audits.
+	planStart := time.Now()
 	for k := 0; k < st.resid.active; k++ {
 		st.resid.levels[k].sortTouched()
 	}
-
-	st.reserveMasses(st.massR)
 	st.residStats(st.massD, st.nonZero, st.maxHop)
+	planShared := time.Since(planStart)
+	var auditShared time.Duration
+	if anyLaneAudited(lanes) {
+		auditStart := time.Now()
+		st.reserveMasses(st.massR)
+		auditShared = time.Since(auditStart)
+	}
+	if n := time.Duration(bits.OnesCount64(liveMask(lanes))); n > 0 {
+		planShared /= n
+		auditShared /= n
+	}
 	for i := range lanes {
 		ln := &lanes[i]
 		if ln.err != nil {
 			continue
 		}
-		ln.pushTime = pushTime
+		ln.pushTime, ln.planTime = pushShare, planShared
 		// Per-source mass conservation inside the shared pass: each lane's
 		// reserve plus residue mass must still be its injected unit.
-		if err := auditMassConservation(ln.audit, st.massR[i], st.massD[i]); err != nil {
+		if err := ln.ctl(ctl).audited(&ln.auditClock, func(a *InvariantAudit) error {
+			return auditMassConservation(a, st.massR[i], st.massD[i])
+		}); err != nil {
 			ln.err = fmt.Errorf("core: TEA push phase: %w", err)
 			continue
+		}
+		if ln.audit != nil {
+			ln.auditClock.total += auditShared
 		}
 		ln.maxHop = st.maxHop[i]
 		ln.residNonZero = st.nonZero[i]
@@ -287,38 +306,35 @@ func teaGroup(g *graph.Snapshot, o Options, w *heatkernel.Weights, ctl execCtl, 
 	// first-touch order cannot leak in, and the walk plan seed derives from
 	// the lane's own seed node, so its shard RNG streams are the ones its
 	// single-source run would use.  Shards inside a lane still fan out over
-	// up to o.Parallelism goroutines.
+	// up to o.Parallelism goroutines, and each walk round adds its α/nr
+	// increments to the lane's reserve window in (shard, walk) order.
 	for i := range lanes {
 		ln := &lanes[i]
 		if ln.err != nil {
 			continue
 		}
+		planStart := time.Now()
 		entries, weights := st.entries[i], st.weights[i]
 		alpha := sumWeights(weights)
 		planned := int64(math.Ceil(alpha * omega))
 		nr, clamped := ctl.clampWalks(planned)
 		ln.walkClamped, ln.walkPlanned = clamped, plannedBudget(planned, clamped)
 		plan, err := planWalkStage(ws, entries, weights, alpha, nr, o.WalkLengthCap, walkSeed(o.Seed, ln.seed, teaSeedMix))
+		ln.planTime += time.Since(planStart)
 		if err != nil {
 			ln.err = fmt.Errorf("core: TEA walk phase: %w", err)
 			continue
 		}
-		laneCtl := execCtl{cc: ln.cc, cpu: ctl.cpu, ws: ws, audit: ln.audit}
-		walkStart := time.Now()
-		walked, err := runWalkStage(g, w, plan, o.Parallelism, laneCtl)
-		if err != nil {
-			ln.err = fmt.Errorf("core: TEA walk phase: %w", err)
-			continue
-		}
-		ln.walkTime = time.Since(walkStart)
-		mergeStart := time.Now()
-		for s := range walked.shardScores {
-			shard := &walked.shardScores[s]
-			for _, u := range shard.touched {
-				st.reserve.addLane(u, i, shard.vals[u])
+		walked, err := runWalkStage(g, w, plan, o.Parallelism, ln.ctl(ctl), func(ends []graph.NodeID, increment float64) {
+			for _, u := range ends {
+				st.reserve.addLane(u, i, increment)
 			}
+		})
+		if err != nil {
+			ln.err = fmt.Errorf("core: TEA walk phase: %w", err)
+			continue
 		}
-		ln.mergeTime = time.Since(mergeStart)
+		ln.walkTime, ln.mergeTime = walked.walkTime, walked.mergeTime
 		ln.alpha, ln.walks, ln.steps = alpha, walked.walks, walked.steps
 		ln.walkShards, ln.walkWorkers = walked.shards, walked.workers
 		ln.entriesLen = len(entries)
@@ -332,12 +348,7 @@ func teaGroup(g *graph.Snapshot, o Options, w *heatkernel.Weights, ctl execCtl, 
 	// bit was set by exactly the adds that run would perform.
 	mergeStart := time.Now()
 	st.reserve.sortTouched()
-	var liveBits uint64
-	for i := range lanes {
-		if lanes[i].err == nil {
-			liveBits |= 1 << i
-		}
-	}
+	liveBits := liveMask(lanes)
 	var cnt [maxBatchLanes]int
 	for _, v := range st.reserve.touched {
 		for m := uint64(st.reserve.mask[v]) & liveBits; m != 0; m &= m - 1 {
@@ -357,8 +368,6 @@ func teaGroup(g *graph.Snapshot, o Options, w *heatkernel.Weights, ctl execCtl, 
 			scoresBuf[i] = append(scoresBuf[i], ScoredNode{Node: v, Score: rvals[i*rn+int(v)]})
 		}
 	}
-	// The demux passes are shared work; split the wall time evenly across
-	// the lanes they served.
 	mergeShared := time.Since(mergeStart)
 	if n := bits.OnesCount64(liveBits); n > 0 {
 		mergeShared /= time.Duration(n)
@@ -371,7 +380,9 @@ func teaGroup(g *graph.Snapshot, o Options, w *heatkernel.Weights, ctl execCtl, 
 		}
 		scores := scoresBuf[i]
 		ln.mergeTime += mergeShared
-		if err := auditResult(ln.audit, scores, 0); err != nil {
+		if err := ln.ctl(ctl).audited(&ln.auditClock, func(a *InvariantAudit) error {
+			return auditResult(a, scores, 0)
+		}); err != nil {
 			errs[base+i] = fmt.Errorf("core: TEA merge phase: %w", err)
 			continue
 		}
@@ -389,17 +400,31 @@ func teaGroup(g *graph.Snapshot, o Options, w *heatkernel.Weights, ctl execCtl, 
 				WalkBudgetPlanned:      ln.walkPlanned,
 				WalkShards:             ln.walkShards,
 				WalkParallelism:        ln.walkWorkers,
-				PushChunks:             ln.chunks,
-				// The shared scan runs on the calling goroutine; walk shards
-				// are where a batch spends its parallelism.
-				PushParallelism: 1,
-				PushTime:        ln.pushTime,
-				WalkTime:        ln.walkTime,
-				MergeTime:       ln.mergeTime,
+				PushTime:               ln.pushTime,
+				WalkTime:               ln.walkTime,
+				MergeTime:              ln.mergeTime,
+				PlanTime:               ln.planTime,
+				AuditTime:              ln.auditClock.total,
 				WorkingSetBytes: scoreVectorWorkingSetBytes(len(scores)) +
 					estimatedWorkingSetBytes(ln.residNonZero) +
 					int64(ln.entriesLen)*24,
 			},
 		}
 	}
+}
+
+// ctl returns the lane's execution controls: the group's CPU gate and
+// workspace with the lane's own cancellation and audit.
+func (ln *batchLane) ctl(group execCtl) execCtl {
+	return execCtl{cc: ln.cc, cpu: group.cpu, ws: group.ws, audit: ln.audit}
+}
+
+// anyLaneAudited reports whether some live lane runs with an audit.
+func anyLaneAudited(lanes []batchLane) bool {
+	for i := range lanes {
+		if lanes[i].err == nil && lanes[i].audit != nil {
+			return true
+		}
+	}
+	return false
 }

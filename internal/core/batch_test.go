@@ -5,15 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"hkpr/internal/gen"
 	"hkpr/internal/graph"
-	"hkpr/internal/heatkernel"
 )
 
-// batchTestGraph is large enough that default-rmax TEA frontiers cross the
-// chunking threshold, so the batched push exercises the per-lane chunk-fold
-// emulation, not just the serial path.
+// batchTestGraph is large enough that default-rmax TEA frontiers reach
+// hundreds of nodes per hop, so lanes overlap heavily in the shared scan.
 func batchTestGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	g, err := gen.PowerlawCluster(3000, 4, 0.3, 17)
@@ -68,7 +67,7 @@ func requireSameResult(t *testing.T, label string, want, got *Result) {
 	if ws.PushOperations != gs.PushOperations || ws.PushedNodes != gs.PushedNodes ||
 		ws.RandomWalks != gs.RandomWalks || ws.WalkSteps != gs.WalkSteps ||
 		ws.ResidueMassBeforeWalks != gs.ResidueMassBeforeWalks ||
-		ws.MaxHop != gs.MaxHop || ws.PushChunks != gs.PushChunks ||
+		ws.MaxHop != gs.MaxHop ||
 		ws.WalkShards != gs.WalkShards || ws.EarlyTermination != gs.EarlyTermination {
 		t.Fatalf("%s: stats diverge:\nwant %+v\ngot  %+v", label, ws, gs)
 	}
@@ -128,14 +127,14 @@ func TestEstimateManyBitIdentity(t *testing.T) {
 				baseline[i] = r
 			}
 			if m.name == "tea" {
-				// Self-check that this graph still drives the chunked push
-				// path: a purely serial push performs at most one chunk per
-				// hop level.
-				maxHops := heatkernel.MustNew(opts.T, heatkernel.DefaultTailEpsilon).TruncationHop(1e-12)
-				if baseline[0].Stats.PushChunks <= int64(maxHops) {
-					t.Fatalf("test graph no longer exercises chunked push (chunks=%d, hops<=%d)",
-						baseline[0].Stats.PushChunks, maxHops)
-				}
+				// Self-check that this graph still drives big frontiers
+				// through the shared scan and shards the walks, so P has a
+				// stage to change.
+				requireBigFrontier(t, baseline[0].Stats)
+			}
+			if m.name != "teaplus" && baseline[0].Stats.WalkShards < 2 {
+				t.Fatalf("walk stage not sharded (%d shards); P changes nothing and the test is vacuous",
+					baseline[0].Stats.WalkShards)
 			}
 			for _, k := range []int{1, 2, 8, 64} {
 				for _, p := range []int{1, 2, 8} {
@@ -183,6 +182,45 @@ func TestEstimateManyWalkHeavy(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		requireSameResult(t, fmt.Sprintf("walk-heavy seed %d", s), want, results[i])
+	}
+}
+
+// TestEstimateManyStageTimesWithinWallTime: work a lane group shares — the
+// push scan, the fused collection, the audits' reserve sums and the demux —
+// is split over the lanes it served, so the group's per-lane stage times sum
+// to no more than the group's wall time.
+func TestEstimateManyStageTimesWithinWallTime(t *testing.T) {
+	g := batchTestGraph(t)
+	est, err := NewEstimator(g, batchOpts(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := batchSeeds(g, maxBatchLanes)
+	audits := make([]*InvariantAudit, len(seeds))
+	for i := range audits {
+		audits[i] = &InvariantAudit{}
+	}
+	for rep := 0; rep < 3; rep++ {
+		start := time.Now()
+		results, errs, err := est.TEAManyContext(BatchContext{SourceAudit: audits}, seeds, Options{Parallelism: 1})
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum time.Duration
+		for i, r := range results {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			st := r.Stats
+			if st.PushTime <= 0 || st.PlanTime <= 0 || st.AuditTime <= 0 || st.MergeTime <= 0 {
+				t.Fatalf("lane %d: a stage went untimed: %+v", i, st)
+			}
+			sum += st.PushTime + st.PlanTime + st.WalkTime + st.MergeTime + st.AuditTime
+		}
+		if sum > wall {
+			t.Fatalf("per-lane stage times sum to %v, more than the group's wall time %v", sum, wall)
+		}
 	}
 }
 

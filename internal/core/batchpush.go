@@ -19,12 +19,8 @@ import (
 // nodes where lane i is active (its residue above threshold) is exactly lane
 // i's own sorted frontier, so lane i's reserve slot and hop-(k+1) slots
 // receive their additions in precisely the order its single-source
-// drainFrontier would perform them.  Lanes whose frontier is small enough for
-// the single-source serial path add neighbor shares directly; lanes large
-// enough for the chunked path accumulate into a per-lane delta and fold it at
-// chunk boundaries replicated online with the same integer arithmetic as
-// chunkFrontierByDegree, reproducing the chunked merge's
-// one-add-per-node-per-chunk accumulation pattern exactly.
+// drainFrontier would perform them: every lane adds its neighbor shares
+// straight into hop k+1, as the serial push does.
 
 // maxBatchLanes caps the lanes of one shared pass; larger EstimateMany calls
 // run as sequential groups of maxBatchLanes.  Memory per batch scales as
@@ -47,25 +43,14 @@ type batchLane struct {
 	err   error // once set, the lane is dead and produces no result
 
 	// hops emulates the lane's single-source ResidueVectors.NumHops(): the
-	// batch residue levels are shared, but hop-loop participation (and with
-	// it the per-lane FrontierChunks count) must match each lane's own
-	// activation history — eager at chunked drains, lazy at the first
-	// spreading node otherwise.
+	// batch residue levels are shared, but a lane takes part in hop k only
+	// once one of its pushes has spread residue there, like the single-source
+	// hop loop.
 	hops int
 
-	// Per-hop chunk emulation (valid while the hop is being scanned).
-	chunkMode bool
-	nChunks   int
-	chunkIdx  int
-	cum       int64
-	totalCost int64
-	nextBound int64 // ⌈totalCost·(chunkIdx+1)/nChunks⌉, hoisted out of the scan
-	flen      int
-
 	// Per-lane statistics, bit-identical to the lane's single-source run.
-	ops    int64
-	nodes  int64
-	chunks int64
+	ops   int64
+	nodes int64
 
 	// Walk/collection stage results (filled by the group driver).
 	alpha        float64
@@ -78,10 +63,11 @@ type batchLane struct {
 	entriesLen   int
 	residNonZero int
 	maxHop       int
-	early        bool
 	pushTime     time.Duration
 	walkTime     time.Duration
 	mergeTime    time.Duration
+	planTime     time.Duration
+	auditClock   stageClock
 }
 
 // liveMask returns the bitmask of lanes that have not died.
@@ -118,21 +104,14 @@ func batchPushTEA(g *graph.Snapshot, st *batchState, lanes []batchLane, w *heatk
 		stop := w.Stop(k)
 
 		// Sort this hop's touched list before scanning it: nothing appends to
-		// level k once hop k-1 has drained, the pass-1 sums below are
-		// order-independent, and the sorted list makes the union come out
-		// sorted for free and leaves the level ascending for the post-push
-		// sweeps (fold boundaries and per-lane addition orders are driven by
-		// the sorted union either way, so per-lane results are unchanged).
+		// level k once hop k-1 has drained, and the sorted list makes the
+		// union come out sorted for free and leaves the level ascending for
+		// the post-push sweeps.
 		hop.sortTouched()
 
-		// Pass 1: per-lane frontier sizes and degree-sum costs plus the
-		// union frontier.  Lane membership uses the single-source threshold
-		// r > rmax·d(v).
+		// Pass 1: the union frontier.  Lane membership uses the
+		// single-source threshold r > rmax·d(v).
 		union := st.union[:0]
-		for m := participating; m != 0; m &= m - 1 {
-			ln := &lanes[bits.TrailingZeros64(m)]
-			ln.flen, ln.totalCost, ln.cum, ln.chunkIdx = 0, 0, 0, 0
-		}
 		hvals, hn := hop.vals, hop.n
 		for _, v := range hop.touched {
 			avail := uint64(hop.mask[v]) & participating
@@ -140,39 +119,14 @@ func batchPushTEA(g *graph.Snapshot, st *batchState, lanes []batchLane, w *heatk
 				continue
 			}
 			thr := rmax * float64(g.Degree(v))
-			cost := 1 + int64(g.Degree(v))
-			in := false
 			for m := avail; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				if hvals[i*hn+int(v)] > thr {
-					in = true
-					lanes[i].flen++
-					lanes[i].totalCost += cost
+				if hvals[bits.TrailingZeros64(m)*hn+int(v)] > thr {
+					union = append(union, v)
+					break
 				}
-			}
-			if in {
-				union = append(union, v)
 			}
 		}
 		st.union = union
-
-		// Per-lane chunk plan: the chunk count is the same pure function of
-		// the lane's own frontier size the single-source push uses, and the
-		// eager hop-(k+1) activation of the chunked drain is mirrored into
-		// the lane's emulated hop count up front.
-		for m := participating; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			ln := &lanes[i]
-			ln.nChunks = pushChunkCount(ln.flen)
-			ln.chunks += int64(ln.nChunks)
-			ln.chunkMode = ln.nChunks > 1
-			if ln.chunkMode {
-				ln.nextBound = ln.totalCost / int64(ln.nChunks)
-				if ln.hops < k+2 {
-					ln.hops = k + 2
-				}
-			}
-		}
 
 		// Pass 2: the shared scan over the sorted union frontier.
 		var next *batchVec
@@ -180,7 +134,7 @@ func batchPushTEA(g *graph.Snapshot, st *batchState, lanes []batchLane, w *heatk
 			deg := g.Degree(v)
 			degF := float64(deg)
 			thr := rmax * degF
-			var act, spreadSerial, spreadChunk uint64
+			var act, spread uint64
 			var stopR [maxBatchLanes]float64
 			for m := uint64(hop.mask[v]) & participating; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
@@ -190,17 +144,11 @@ func batchPushTEA(g *graph.Snapshot, st *batchState, lanes []batchLane, w *heatk
 				}
 				act |= 1 << i
 				stopR[i] = stop * r
-				spread := (1 - stop) * r
-				if spread > 0 && deg > 0 {
-					st.share[i] = spread / degF
-					ln := &lanes[i]
-					if ln.chunkMode {
-						spreadChunk |= 1 << i
-					} else {
-						spreadSerial |= 1 << i
-						if ln.hops < k+2 {
-							ln.hops = k + 2 // lazy activation, as in the serial path
-						}
+				if sp := (1 - stop) * r; sp > 0 && deg > 0 {
+					st.share[i] = sp / degF
+					spread |= 1 << i
+					if ln := &lanes[i]; ln.hops < k+2 {
+						ln.hops = k + 2 // lazy activation, as in the serial push
 					}
 				}
 				// The single-source push zeroes v after its neighbor loop;
@@ -222,19 +170,11 @@ func batchPushTEA(g *graph.Snapshot, st *batchState, lanes []batchLane, w *heatk
 				i := bits.TrailingZeros64(m)
 				rvals[i*rn+int(v)] += stopR[i]
 			}
-			if spreadSerial|spreadChunk != 0 {
+			if spread != 0 {
 				if next == nil {
 					next = st.resid.level(k + 1)
 				}
-				// Serial and chunk lanes write disjoint accumulators, so the
-				// two bulk sweeps commute.
-				nbrs := g.Neighbors(v)
-				if spreadSerial != 0 {
-					next.addLanesBulk(nbrs, spreadSerial, st.share)
-				}
-				if spreadChunk != 0 {
-					st.delta.addLanesBulk(nbrs, spreadChunk, st.share)
-				}
+				next.addLanesBulk(g.Neighbors(v), spread, st.share)
 			}
 			for m := act; m != 0; m &= m - 1 {
 				i := bits.TrailingZeros64(m)
@@ -245,48 +185,8 @@ func batchPushTEA(g *graph.Snapshot, st *batchState, lanes []batchLane, w *heatk
 					ln.err = fmt.Errorf("core: TEA push phase: %w", err)
 					live &^= 1 << i
 					participating &^= 1 << i
-					if ln.chunkMode {
-						st.delta.resetLane(i)
-						ln.chunkMode = false
-					}
-					continue
-				}
-				if ln.chunkMode {
-					ln.cum += 1 + int64(deg)
-					// Replicate chunkFrontierByDegree's boundaries online:
-					// chunk c ends at the first node taking the cumulative
-					// cost to ⌈total·(c+1)/nChunks⌉ (same int64 arithmetic,
-					// hoisted into nextBound so the common no-boundary case is
-					// one compare), at which point the single-source merge
-					// folds chunk c's delta into hop k+1.
-					for ln.chunkIdx < ln.nChunks-1 && ln.cum >= ln.nextBound {
-						if next == nil {
-							next = st.resid.level(k + 1)
-						}
-						st.delta.foldLane(i, next)
-						ln.chunkIdx++
-						ln.nextBound = ln.totalCost * int64(ln.chunkIdx+1) / int64(ln.nChunks)
-					}
 				}
 			}
-		}
-
-		// Hop end: fold the final chunk of every chunk-mode lane.  Trailing
-		// empty chunks fold nothing in the single-source merge either.
-		for m := participating; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			ln := &lanes[i]
-			if !ln.chunkMode {
-				continue
-			}
-			ln.chunkMode = false
-			if len(st.delta.touched[i]) == 0 {
-				continue
-			}
-			if next == nil {
-				next = st.resid.level(k + 1)
-			}
-			st.delta.foldLane(i, next)
 		}
 	}
 }

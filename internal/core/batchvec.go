@@ -24,7 +24,7 @@ import (
 // and the shared touched list records first-touch order across all lanes.
 //
 // Unlike denseVec there is no epoch/stamp machinery: the slab keeps an
-// all-zero-outside-a-batch invariant (like batchDelta's), restored by drain()
+// all-zero-outside-a-batch invariant, restored by drain()
 // at the end of every batch group, so a row is live exactly when its mask is
 // non-zero and rows never need zero-filling on first touch.  The mask is one
 // byte per node (it holds maxBatchLanes ≤ 8 lanes), an eighth of the uint64
@@ -36,9 +36,9 @@ type batchVec struct {
 	// lane owns one contiguous n-float window.  Dense sweeps (the push
 	// passes, demux, drain) touch the same total bytes either way because
 	// they visit ascending nodes and each window line carries eight nodes;
-	// what the layout buys is the per-lane scattered paths — chunk folds and
-	// walk-result merges — whose working set shrinks from the whole n·kk
-	// slab to one lane window that stays cache-resident.
+	// what the layout buys is the per-lane scattered paths — neighbor
+	// spreads and walk-result merges — whose working set shrinks from the
+	// whole n·kk slab to one lane window that stays cache-resident.
 	vals []float64 // n*kk, all-zero outside a batch
 	mask []uint8   // per node; non-zero ⇔ the row is live this batch
 	// touched lists nodes touched by any lane, in first-touch order.  A
@@ -176,144 +176,14 @@ func (r *batchResidues) level(k int) *batchVec {
 	return &r.levels[k]
 }
 
-// batchDelta is the k-lane counterpart of the chunked push's private delta
-// slabs: per-(node, lane) accumulation with a per-lane touched list, so
-// folding and resetting one lane's delta at its chunk boundary is O(that
-// lane's touched entries) and never disturbs the other lanes, whose chunk
-// boundaries fall elsewhere in the shared scan.
-//
-// There is deliberately no stamp array: every accumulated share is strictly
-// positive (the push only spreads when spread > 0), so an entry is live for
-// the current chunk exactly when its value is non-zero, and foldLane zeroes
-// each entry as it drains it.  The zero-test costs the same as a stamp
-// compare but halves the slab traffic of the hot addLanes path.  The
-// invariant "vals is all-zero between chunks" holds because every chunk ends
-// in exactly one foldLane or resetLane before batchPushTEA returns.
-type batchDelta struct {
-	n, kk int
-	// vals is LANE-major (lane i's entry for node u at i*n+u), unlike the
-	// node-major batchVec slabs: chunk folds and resets sweep one lane at a
-	// time, and a lane's whole delta window (n floats) is small enough to
-	// stay cache-resident across its chunk, where node-major rows would
-	// stride one cache line per entry over the full n·kk slab.  The write
-	// side pays for it — addLanes touches one line per chunk lane instead of
-	// one row — but folds dominate the chunked push's slab traffic.
-	vals []float64 // n*kk, all-zero between chunks
-	fold []float64 // foldLane's gathered chunk values, entry-indexed
-	// touched[i] lists lane i's delta entries in first-touch order — the
-	// identical order lane i's single-source chunk scan would have produced,
-	// because the shared scan visits lane i's frontier nodes in the same
-	// ascending order and each node's neighbors in adjacency order.
-	touched [][]graph.NodeID
-}
-
-func (d *batchDelta) begin(n, kk int) {
-	need := n * kk
-	if cap(d.vals) < need {
-		d.vals = make([]float64, need)
-	} else {
-		// The previous batch left every entry zero (see the type comment);
-		// only a capacity change needs a fresh (zeroed) slab.  Lane windows
-		// are laid out over this batch's n, so a smaller graph than the
-		// slab's previous one still sees all-zero windows.
-		d.vals = d.vals[:need]
-	}
-	d.n, d.kk = n, kk
-	for len(d.touched) < kk {
-		d.touched = append(d.touched, nil)
-	}
-	d.touched = d.touched[:kk]
-	for i := 0; i < kk; i++ {
-		d.touched[i] = d.touched[i][:0]
-	}
-}
-
-// resetLane discards lane i's pending delta (dead-lane path), zeroing its
-// entries to restore the all-zero-between-chunks invariant.
-func (d *batchDelta) resetLane(i int) {
-	lane := d.vals[i*d.n : (i+1)*d.n]
-	for _, u := range d.touched[i] {
-		lane[u] = 0
-	}
-	d.touched[i] = d.touched[i][:0]
-}
-
-// addLanesBulk accumulates share[i] into every lane i in the lanes bitmask
-// for a whole neighbor batch.  Lanes run outermost: each lane's delta window,
-// share scalar and touched tail are hoisted across the neighbor sweep, and
-// per lane the neighbors keep their adjacency order, so both the slot
-// accumulation order and the lane's first-touch order are exactly its
-// single-source chunk scan's.
-func (d *batchDelta) addLanesBulk(nbrs []graph.NodeID, lanes uint64, share []float64) {
-	n := d.n
-	for m := lanes; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros64(m)
-		lane := d.vals[i*n : (i+1)*n]
-		tl := d.touched[i]
-		s := share[i]
-		for _, u := range nbrs {
-			old := lane[u]
-			lane[u] = old + s
-			// Predicated first-touch append: whether a neighbor is new to
-			// the chunk is data-dependent and mispredicts badly, so store u
-			// unconditionally and keep it only when old was zero.
-			if len(tl) < cap(tl) {
-				k := len(tl)
-				tl = tl[:k+1]
-				tl[k] = u
-				if old != 0 {
-					tl = tl[:k]
-				}
-			} else if old == 0 {
-				tl = append(tl, u)
-			}
-		}
-		d.touched[i] = tl
-	}
-}
-
-// foldLane merges lane i's delta into next in first-touch order — the same
-// one-add-per-node fold the single-source chunked merge performs — zeroing
-// the lane's entries for its next chunk.  This is the hottest per-lane path
-// of the whole batched push, and it is memory-bound on two independent
-// scattered streams (the delta slab and the next-level slab), so it runs in
-// two phases: a branch-free gather-and-zero of the delta values, then the
-// masked apply into next — each phase keeps many cache misses in flight
-// instead of serializing delta-miss → next-miss per entry.
-func (d *batchDelta) foldLane(i int, next *batchVec) {
-	tl := d.touched[i]
-	if cap(d.fold) < len(tl) {
-		d.fold = make([]float64, len(tl)+len(tl)/2)
-	}
-	fold := d.fold[:len(tl)]
-	lane := d.vals[i*d.n : (i+1)*d.n]
-	for j, u := range tl {
-		fold[j] = lane[u]
-		lane[u] = 0
-	}
-	nlane := next.vals[i*next.n : (i+1)*next.n]
-	nmask := next.mask
-	bit := uint8(1) << i
-	for j, u := range tl {
-		m := nmask[u]
-		if m == 0 {
-			next.touched = append(next.touched, u)
-		}
-		nmask[u] = m | bit
-		nlane[u] += fold[j]
-	}
-	d.touched[i] = tl[:0]
-}
-
 // batchState bundles the per-batch accumulators hung off a Workspace: the
-// k-lane reserve and residue slabs, the k-lane chunk delta, and the small
-// shared scan buffers.  Like every other workspace slab it is sized on first
-// use and recycled with the workspace.
+// k-lane reserve and residue slabs and the small shared scan buffers.  Like
+// every other workspace slab it is sized on first use and recycled with the
+// workspace.
 type batchState struct {
 	kk      int
 	reserve batchVec
 	resid   batchResidues
-	delta   batchDelta
 	share   []float64 // per-lane spread share of the node being scanned
 	union   []graph.NodeID
 	lanes   []batchLane
@@ -337,7 +207,6 @@ func (st *batchState) begin(n, kk int) {
 	st.kk = kk
 	st.reserve.grow(n, kk)
 	st.resid.begin(n, kk)
-	st.delta.begin(n, kk)
 	if cap(st.share) < kk {
 		st.share = make([]float64, kk)
 		st.massR = make([]float64, kk)
@@ -366,12 +235,6 @@ func (st *batchState) drain() {
 	st.reserve.drain()
 	for k := 0; k < st.resid.active; k++ {
 		st.resid.levels[k].drain()
-	}
-	// The push folds or resets every lane's delta before returning, so these
-	// are no-ops on the normal path; they matter only when unwinding from a
-	// mid-push panic.
-	for i := 0; i < st.delta.kk && i < len(st.delta.touched); i++ {
-		st.delta.resetLane(i)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"time"
 
 	"hkpr/internal/graph"
 	"hkpr/internal/trace"
@@ -40,14 +41,14 @@ type OptionsContext struct {
 	// grants Options.Parallelism unconditionally.
 	CPU CPUGate
 	// Workspace, when non-nil, is the pooled per-query scratch state (dense
-	// reserve/residue slabs, chunk/shard accumulators, collection buffers)
+	// reserve/residue slabs, walk end lists, collection buffers)
 	// the query runs on.  The serving layer checks one out per admitted
 	// query and returns it when the query completes or is canceled; nil
 	// falls back to this package's internal workspace pool.  A workspace
 	// must not be shared by concurrent queries.
 	Workspace *Workspace
-	// Trace, when non-nil, receives the per-stage spans (push, walk, merge)
-	// of this query; the serving layer anchors it at request arrival and
+	// Trace, when non-nil, receives the per-stage spans (push, plan, walk,
+	// merge, audit) of this query; the serving layer anchors it at request arrival and
 	// freezes it into a trace.Record after the query completes.  nil
 	// disables tracing at the cost of one nil check per stage.
 	Trace *trace.QueryTrace
@@ -118,6 +119,37 @@ func (ctl execCtl) clampWalks(nr int64) (int64, bool) {
 	return scaled, true
 }
 
+// stageClock sums a pipeline stage that runs in disjoint pieces — the
+// invariant audits run after the push and again after the merge — into one
+// duration, anchored at the first piece for the trace span.
+type stageClock struct {
+	first time.Time
+	total time.Duration
+}
+
+// observe records the summed stage on tr (nil-safe), if any piece ran.
+func (c *stageClock) observe(tr *trace.QueryTrace, s trace.Stage) {
+	if c.total > 0 {
+		tr.Observe(s, c.first, c.total)
+	}
+}
+
+// audited runs check against the query's audit as one piece of the audit
+// stage, timed on clock.  Without an audit it does nothing, so the library
+// entry points skip the checks' input passes as well.
+func (ctl execCtl) audited(clock *stageClock, check func(*InvariantAudit) error) error {
+	if ctl.audit == nil {
+		return nil
+	}
+	start := time.Now()
+	err := check(ctl.audit)
+	if clock.first.IsZero() {
+		clock.first = start
+	}
+	clock.total += time.Since(start)
+	return err
+}
+
 // cancelChecker amortizes context polling over work units.  A nil checker is
 // valid and never cancels, so the hot loops pay a single predictable branch
 // when cancellation is disabled.
@@ -158,8 +190,7 @@ func (c *cancelChecker) tick(cost int) error {
 
 // forkValue returns an independent checker (by value, so concurrent stages
 // can place forks in pre-grown workspace slots without allocating) over the
-// same context and budget, for walk shards and push chunks that poll
-// concurrently.  A cancelChecker is not safe for concurrent use, so every
+// same context and budget, for walk shards that poll concurrently.  A cancelChecker is not safe for concurrent use, so every
 // shard gets its own fork.  Must not be called on a nil checker; callers
 // keep a nil *cancelChecker when cancellation is disabled.
 func (c *cancelChecker) forkValue() cancelChecker {

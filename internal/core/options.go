@@ -61,14 +61,12 @@ type Options struct {
 	// SeedSet marks Seed as explicitly chosen, so a per-query override of
 	// Seed == 0 is honored instead of inheriting the estimator's seed.
 	SeedSet bool
-	// Parallelism is the maximum number of goroutines one query may use in
-	// its parallel stages: the Monte-Carlo walk shards and the push phase's
-	// per-hop frontier scans.  0 or 1 runs both serially; the result is
-	// bit-identical for a given Seed regardless of this knob, because walks
-	// are split over a fixed set of shards with per-shard RNGs derived from
-	// (Seed, shard index) and merged in shard order, and push frontiers are
-	// split into a chunk set that depends only on the frontier size, with
-	// per-chunk deltas merged in chunk order.  When the query runs under a
+	// Parallelism is the maximum number of goroutines one query's
+	// Monte-Carlo walk shards may use; the push is always one serial loop.
+	// 0 or 1 runs the walks serially; the result is bit-identical for a
+	// given Seed regardless of this knob, because walks are split over a
+	// fixed set of shards with per-shard RNGs derived from (Seed, shard
+	// index) and merged in (shard, walk) order.  When the query runs under a
 	// serving engine the effective parallelism is further limited by the
 	// shared CPU-token budget (OptionsContext.CPU).
 	Parallelism int

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -131,6 +132,82 @@ func TestShardWalksPartition(t *testing.T) {
 	}
 	if total != p.nr {
 		t.Fatalf("shard budgets sum to %d, want %d", total, p.nr)
+	}
+}
+
+// TestShardRoundsPartition checks the walk rounds tile every shard's budget:
+// within a round the shards' ranges are contiguous from 0, and over all
+// rounds shard i runs exactly shardWalks(i) walks.
+func TestShardRoundsPartition(t *testing.T) {
+	for _, tc := range []struct {
+		nr       int64
+		shards   int
+		roundLen int64
+	}{
+		{100_003, 32, 1 << 15}, // one round
+		{5_000_000, 32, 1 << 15},
+		{32 * 3 << 15, 32, 1 << 15},   // whole rounds, no remainder
+		{32*(2<<15) + 5, 32, 1 << 15}, // a last round of one walk on 5 shards
+		{7, 1, 3},
+	} {
+		p := &walkPlan{nr: tc.nr, shards: tc.shards, roundLen: tc.roundLen}
+		perShard := make([]int64, p.shards)
+		for r := range p.rounds() {
+			next := int64(0)
+			for i := 0; i < p.shards; i++ {
+				n, off := p.shardRound(i, r)
+				if off != next || n < 0 || n > p.roundLen {
+					t.Fatalf("nr=%d round %d shard %d: range [%d,+%d) after %d", p.nr, r, i, off, n, next)
+				}
+				next += n
+				perShard[i] += n
+			}
+			if next == 0 {
+				t.Fatalf("nr=%d: round %d is empty", p.nr, r)
+			}
+		}
+		for i, got := range perShard {
+			if want := p.shardWalks(i); got != want {
+				t.Fatalf("nr=%d shard %d ran %d walks over %d rounds, want %d", p.nr, i, got, p.rounds(), want)
+			}
+		}
+	}
+}
+
+// TestMultiRoundWalkStageBitIdentity runs a walk budget too large for one
+// round: the rounds must add up to the planned walk count, and the result
+// must stay bit-identical at any parallelism.
+func TestMultiRoundWalkStageBitIdentity(t *testing.T) {
+	g := parallelTestGraph(t)
+	est, err := NewEstimator(g, Options{Delta: 1e-4, FailureProb: 1e-4, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serial *Result
+	for _, p := range []int{1, 2, 8} {
+		res, err := est.MonteCarlo(5, Options{Parallelism: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.RandomWalks <= maxRoundWalks {
+			t.Fatalf("%d walks fit one round; the test is vacuous", res.Stats.RandomWalks)
+		}
+		if serial == nil {
+			serial = res
+			continue
+		}
+		if res.Stats.RandomWalks != serial.Stats.RandomWalks || len(res.Scores) != len(serial.Scores) {
+			t.Fatalf("P=%d: %d walks, support %d; serial %d walks, support %d", p,
+				res.Stats.RandomWalks, len(res.Scores), serial.Stats.RandomWalks, len(serial.Scores))
+		}
+		for i, e := range serial.Scores {
+			if res.Scores[i] != e {
+				t.Fatalf("P=%d score at node %d: %v != serial %v", p, e.Node, res.Scores[i], e)
+			}
+		}
+	}
+	if m := serial.TotalMass(); math.Abs(m-1) > 1e-9 {
+		t.Fatalf("walk increments sum to %v, want 1", m)
 	}
 }
 

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"slices"
-	"sync/atomic"
 
 	"hkpr/internal/graph"
 	"hkpr/internal/heatkernel"
@@ -200,17 +198,6 @@ type PushResult struct {
 	// SatisfiedInequality11 records whether Σ_k max_u r^(k)[u]/d(u) ≤ ε was
 	// established during the push (only HK-Push+ checks it).
 	SatisfiedInequality11 bool
-	// FrontierChunks counts the frontier chunks processed across all hops
-	// (one per hop when frontiers stay below the chunking threshold).
-	FrontierChunks int64
-	// MaxHopChunks is the largest number of chunks any single hop's frontier
-	// was split into; values above 1 mean the chunked (parallelizable) path
-	// actually ran.
-	MaxHopChunks int
-	// PushParallelism is the maximum number of goroutines used to scan any
-	// hop's frontier after consulting the CPU gate.  It never affects the
-	// output (see the chunking notes on hkPush).
-	PushParallelism int
 }
 
 // hopMaxes incrementally tracks max_u r^(k)[u]/d(u) per hop — the per-hop
@@ -256,277 +243,65 @@ func (h *hopMaxes) sum() float64 {
 	return total
 }
 
-// Frontier chunking constants.  The chunk count is a pure function of the
-// frontier size so that it — and with it the result — cannot depend on the
-// parallelism, mirroring the walk stage's budget-only sharding.
-const (
-	// maxPushChunks bounds the chunks (and hence the useful parallelism) of
-	// one hop's frontier scan.
-	maxPushChunks = 32
-	// minFrontierPerChunk keeps small frontiers on the serial fast path: below
-	// this size a chunk's fixed costs (scratch slab, goroutine handoff)
-	// outweigh the scan.
-	minFrontierPerChunk = 128
-	// inequalityCheckEvery is the number of push operations between
-	// Inequality-11 re-checks on the serial path (the chunked path checks at
-	// chunk boundaries instead, which is what keeps it order-deterministic).
-	inequalityCheckEvery = 4096
-)
-
-// pushChunkCount returns the number of contiguous chunks a frontier of the
-// given size is split into.  Deterministic in the frontier size only.
-func pushChunkCount(frontierLen int) int {
-	c := frontierLen / minFrontierPerChunk
-	if c < 1 {
-		return 1
-	}
-	if c > maxPushChunks {
-		return maxPushChunks
-	}
-	return int(c)
-}
-
-// pushChunk is one contiguous slice [lo, hi) of a hop's sorted frontier plus
-// the deltas its scan produced: the hop-(k+1) residue mass its pushes spread,
-// and the work counters.  Scans are read-only with respect to the shared
-// residue state; the caller merges chunks in index order.
-type pushChunk struct {
-	lo, hi int
-	delta  *denseVec
-	ops    int64
-	nodes  int64
-	err    error
-}
-
-// chunkFrontierByDegree splits the sorted frontier into len(chunks)
-// contiguous ranges balanced by Σ (1 + degree) — the actual scan cost of a
-// chunk — instead of node count, so a frontier dominated by a few hubs no
-// longer serializes behind the chunk that drew them.  The boundaries are a
-// pure function of the frontier and the graph's degrees (never of the
-// parallelism), so the chunked merge order — and with it the result —
-// remains bit-identical at any P.  Chunks may be empty when a single node
-// outweighs a whole chunk share.
-func chunkFrontierByDegree(g *graph.Snapshot, frontier []graph.NodeID, chunks []pushChunk) {
-	nChunks := len(chunks)
-	var total int64
-	for _, v := range frontier {
-		total += 1 + int64(g.Degree(v))
-	}
-	var cum int64
-	j := 0
-	for i := range chunks {
-		chunks[i].lo = j
-		target := total * int64(i+1) / int64(nChunks)
-		for j < len(frontier) && cum < target {
-			cum += 1 + int64(g.Degree(frontier[j]))
-			j++
-		}
-		chunks[i].hi = j
-	}
-	chunks[nChunks-1].hi = len(frontier)
-}
-
-// scanFrontierChunks scans the frontier's chunks on up to workers goroutines.
-// Each chunk accumulates its spread into a private workspace scratch slab in
-// frontier order, so chunk contents depend only on the frontier split — never
-// on scheduling.  A chunk that hits cancellation records the error and flags
-// the remaining chunks to bail out.
-func scanFrontierChunks(g *graph.Snapshot, hop *denseVec, frontier []graph.NodeID, stop float64, nChunks, workers int, ctl execCtl) []pushChunk {
-	ws := ctl.ws
-	chunks := ws.chunkSlots(nChunks)
-	chunkFrontierByDegree(g, frontier, chunks)
-	slabs := ws.scratchSlabs(nChunks)
-	var failed atomic.Bool
-	scan := func(i int) {
-		c := &chunks[i]
-		if failed.Load() {
-			// Another chunk hit cancellation; the merge stops at the first
-			// errored chunk, so this chunk's work would be discarded anyway.
-			if err := ctl.cc.err(); err != nil {
-				c.err = err
-			} else {
-				c.err = context.Canceled
-			}
-			return
-		}
-		// Goroutine-local fork: its tick counter is decremented per pushed
-		// node, so a shared slice of forks would false-share cache lines
-		// between chunks.
-		var fork *cancelChecker
-		if ctl.cc != nil {
-			f := ctl.cc.forkValue()
-			fork = &f
-		}
-		delta := &slabs[i]
-		delta.grow(ws.n)
-		delta.reset()
-		for _, v := range frontier[c.lo:c.hi] {
-			r := hop.get(v)
-			if r == 0 {
-				continue
-			}
-			deg := g.Degree(v)
-			spread := (1 - stop) * r
-			if spread > 0 && deg > 0 {
-				share := spread / float64(deg)
-				for _, u := range g.Neighbors(v) {
-					delta.add(u, share)
-				}
-			}
-			c.ops += int64(deg)
-			c.nodes++
-			if err := fork.tick(int(deg)); err != nil {
-				c.err = err
-				failed.Store(true)
-				return
-			}
-		}
-		c.delta = delta
-	}
-	runSharded(nChunks, workers, scan)
-	return chunks
-}
+// inequalityCheckEvery is the number of push operations between HK-Push+'s
+// Inequality-11 re-checks.  The checkpoints fall at fixed positions of the
+// sorted frontier, so early termination is a pure function of the query.
+const inequalityCheckEvery = 4096
 
 // drainFrontier pushes every node of one hop's sorted frontier, spreading the
 // hop-(k+1) residue and accumulating reserves, counters and (when track is
-// non-nil) the incremental Inequality-11 bound against target.
-//
-// Small frontiers run a serial fast path that writes residues directly.  A
-// frontier at or above the chunking threshold is split into
-// pushChunkCount(len) contiguous chunks balanced by degree sum (see
-// chunkFrontierByDegree) scanned on up to parallelism goroutines (extra
-// goroutines beyond the first are borrowed from ctl's CPU gate), and the
-// per-chunk deltas are merged strictly in chunk order.  The hop-(k+1) residue
-// slab is empty when a hop starts, so the one-chunk case and the serial path
-// accumulate in the identical float order, and chunk boundaries depend only
-// on the frontier — which together make the result bit-identical for any
-// parallelism, the same guarantee the walk stage provides.
+// non-nil) the incremental Inequality-11 bound against target.  It is one
+// serial loop: residues and reserves accumulate in frontier order, so the
+// push state is a pure function of the query.
 //
 // It returns satisfied=true as soon as the Inequality-11 sum drops to target
-// or below.  The check runs at deterministic points only (every
-// inequalityCheckEvery operations on the serial path, at chunk boundaries on
-// the chunked path), so early termination is also parallelism-independent.
-// At each checkpoint the draining hop's own term is re-seated exactly from
+// or below.  The check runs every inequalityCheckEvery operations.  At each
+// checkpoint the draining hop's own term is re-seated exactly from
 // suffixMax — suffixMax[i] is the maximum residue norm over frontier[i:],
 // and restMax the maximum over the hop's entries outside the frontier — so
 // the test can fire mid-hop once the dominant entries have been pushed.
-func drainFrontier(res *PushResult, g *graph.Snapshot, hop *denseVec, frontier []graph.NodeID, stop float64, k, parallelism int, ctl execCtl, track *hopMaxes, target float64, suffixMax []float64, restMax float64) (satisfied bool, err error) {
-	nChunks := pushChunkCount(len(frontier))
-	res.FrontierChunks += int64(nChunks)
-	if nChunks > res.MaxHopChunks {
-		res.MaxHopChunks = nChunks
-	}
+func drainFrontier(res *PushResult, g *graph.Snapshot, hop *denseVec, frontier []graph.NodeID, stop float64, k int, ctl execCtl, track *hopMaxes, target float64, suffixMax []float64, restMax float64) (satisfied bool, err error) {
 	reserve := &ctl.ws.reserve
-
-	if nChunks == 1 {
-		var next *denseVec
-		sinceCheck := int64(0)
-		for idx, v := range frontier {
-			r := hop.get(v)
-			if r == 0 {
-				continue
+	var next *denseVec
+	sinceCheck := int64(0)
+	for idx, v := range frontier {
+		r := hop.get(v)
+		if r == 0 {
+			continue
+		}
+		deg := g.Degree(v)
+		reserve.add(v, stop*r)
+		spread := (1 - stop) * r
+		if spread > 0 && deg > 0 {
+			if next == nil {
+				next = res.Residues.level(k + 1)
 			}
-			deg := g.Degree(v)
-			reserve.add(v, stop*r)
-			spread := (1 - stop) * r
-			if spread > 0 && deg > 0 {
-				if next == nil {
-					next = res.Residues.level(k + 1)
-				}
-				share := spread / float64(deg)
-				for _, u := range g.Neighbors(v) {
-					nv := next.add(u, share)
-					if track != nil {
-						track.observe(k+1, nv, float64(g.Degree(u)))
-					}
-				}
-			}
-			hop.set(v, 0)
-			res.PushOperations += int64(deg)
-			res.PushedNodes++
-			if err := ctl.cc.tick(int(deg)); err != nil {
-				return false, err
-			}
-			if track != nil {
-				sinceCheck += int64(deg)
-				if sinceCheck >= inequalityCheckEvery {
-					sinceCheck = 0
-					remaining := restMax
-					if s := suffixMax[idx+1]; s > remaining {
-						remaining = s
-					}
-					track.set(k, remaining)
-					if track.sum() <= target {
-						return true, nil
-					}
+			share := spread / float64(deg)
+			for _, u := range g.Neighbors(v) {
+				nv := next.add(u, share)
+				if track != nil {
+					track.observe(k+1, nv, float64(g.Degree(u)))
 				}
 			}
 		}
-		return false, nil
-	}
-
-	workers := parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers > 1 && ctl.cpu != nil {
-		extra := ctl.cpu.TryAcquire(workers - 1)
-		defer ctl.cpu.Release(extra)
-		workers = 1 + extra
-	}
-	if workers > res.PushParallelism {
-		res.PushParallelism = workers
-	}
-
-	chunks := scanFrontierChunks(g, hop, frontier, stop, nChunks, workers, ctl)
-	next := res.Residues.level(k + 1)
-	for i := range chunks {
-		c := &chunks[i]
-		if c.err == nil {
-			// Chunk boundaries double as cancellation checkpoints: the merge
-			// itself is O(hop edges) and would otherwise hold the worker (and
-			// its CPU tokens) long after the caller is gone.
-			c.err = ctl.cc.err()
+		hop.set(v, 0)
+		res.PushOperations += int64(deg)
+		res.PushedNodes++
+		if err := ctl.cc.tick(int(deg)); err != nil {
+			return false, err
 		}
-		if c.err != nil {
-			// Chunks before i are fully merged, chunks from i on are
-			// discarded, so the partial state is a consistent prefix.
-			return false, c.err
-		}
-		for _, v := range frontier[c.lo:c.hi] {
-			r := hop.get(v)
-			if r == 0 {
-				continue
-			}
-			reserve.add(v, stop*r)
-			hop.set(v, 0)
-		}
-		// Each node appears at most once on a chunk delta's touched list, so
-		// the within-chunk order cannot perturb a node's accumulated float
-		// bits; the chunk-order outer loop fixes the accumulation order per
-		// node.
-		delta := c.delta
-		for _, u := range delta.touched {
-			nv := next.add(u, delta.vals[u])
-			if track != nil {
-				track.observe(k+1, nv, float64(g.Degree(u)))
-			}
-		}
-		res.PushOperations += c.ops
-		res.PushedNodes += c.nodes
 		if track != nil {
-			remaining := restMax
-			if s := suffixMax[c.hi]; s > remaining {
-				remaining = s
-			}
-			track.set(k, remaining)
-			if track.sum() <= target {
-				// Later chunks were scanned but their deltas are dropped — at
-				// every parallelism, since the merge order is fixed.
-				return true, nil
+			sinceCheck += int64(deg)
+			if sinceCheck >= inequalityCheckEvery {
+				sinceCheck = 0
+				remaining := restMax
+				if s := suffixMax[idx+1]; s > remaining {
+					remaining = s
+				}
+				track.set(k, remaining)
+				if track.sum() <= target {
+					return true, nil
+				}
 			}
 		}
 	}
@@ -552,22 +327,19 @@ func drainFrontier(res *PushResult, g *graph.Snapshot, hop *denseVec, frontier [
 // (Lemma 3).
 func HKPush(src graph.Source, seed graph.NodeID, w *heatkernel.Weights, rmax float64, maxHops int) *PushResult {
 	g := src.Snapshot()
-	res, _ := hkPush(g, seed, w, rmax, maxHops, 1, execCtl{ws: NewWorkspace(g.N())})
+	res, _ := hkPush(g, seed, w, rmax, maxHops, execCtl{ws: NewWorkspace(g.N())})
 	return res
 }
 
 // hkPush is HKPush with a cancellation checkpoint charged per pushed node
-// (cost d(v), the paper's push-operation unit) and per-hop frontier scans
-// parallelized over up to parallelism goroutines (see drainFrontier; the
-// output is bit-identical at any parallelism).  ctl.ws must be non-nil and
+// (cost d(v), the paper's push-operation unit).  ctl.ws must be non-nil and
 // already bound to g.  On cancellation the partial result is returned
 // alongside the context error.
-func hkPush(g *graph.Snapshot, seed graph.NodeID, w *heatkernel.Weights, rmax float64, maxHops, parallelism int, ctl execCtl) (*PushResult, error) {
+func hkPush(g *graph.Snapshot, seed graph.NodeID, w *heatkernel.Weights, rmax float64, maxHops int, ctl execCtl) (*PushResult, error) {
 	ws := ctl.ws
 	res := &PushResult{
-		Reserve:         ReserveVector{vec: &ws.reserve},
-		Residues:        &ws.resid,
-		PushParallelism: 1,
+		Reserve:  ReserveVector{vec: &ws.reserve},
+		Residues: &ws.resid,
 	}
 	res.Residues.set(0, seed, 1)
 	if rmax <= 0 {
@@ -596,7 +368,7 @@ func hkPush(g *graph.Snapshot, seed graph.NodeID, w *heatkernel.Weights, rmax fl
 			}
 		}
 		slices.Sort(frontier)
-		if _, err := drainFrontier(res, g, hop, frontier, stop, k, parallelism, ctl, nil, 0, nil, 0); err != nil {
+		if _, err := drainFrontier(res, g, hop, frontier, stop, k, ctl, nil, 0, nil, 0); err != nil {
 			return res, err
 		}
 	}
@@ -610,23 +382,21 @@ func hkPush(g *graph.Snapshot, seed graph.NodeID, w *heatkernel.Weights, rmax fl
 // is left for the walk phase).  Like HKPush it runs on a private workspace.
 func HKPushPlus(src graph.Source, seed graph.NodeID, w *heatkernel.Weights, epsRel, delta float64, maxHopK int, budget int64) *PushResult {
 	g := src.Snapshot()
-	res, _ := hkPushPlus(g, seed, w, epsRel, delta, maxHopK, budget, 1, execCtl{ws: NewWorkspace(g.N())})
+	res, _ := hkPushPlus(g, seed, w, epsRel, delta, maxHopK, budget, execCtl{ws: NewWorkspace(g.N())})
 	return res
 }
 
 // hkPushPlus is HKPushPlus with a cancellation checkpoint charged per pushed
-// node and parallel per-hop frontier scans, mirroring hkPush.  The
-// Inequality-11 test is maintained incrementally (hopMaxes) so each re-check
-// costs O(hops), and it runs only at deterministic points — every
-// inequalityCheckEvery operations on the serial path, at chunk and hop
-// boundaries otherwise — so early termination, like the residue state, is
-// bit-identical at any parallelism.
-func hkPushPlus(g *graph.Snapshot, seed graph.NodeID, w *heatkernel.Weights, epsRel, delta float64, maxHopK int, budget int64, parallelism int, ctl execCtl) (*PushResult, error) {
+// node, mirroring hkPush.  The Inequality-11 test is maintained
+// incrementally (hopMaxes) so each re-check costs O(hops), and it runs at
+// fixed points — every inequalityCheckEvery operations and at hop ends — so
+// early termination, like the residue state, is a pure function of the
+// query.
+func hkPushPlus(g *graph.Snapshot, seed graph.NodeID, w *heatkernel.Weights, epsRel, delta float64, maxHopK int, budget int64, ctl execCtl) (*PushResult, error) {
 	ws := ctl.ws
 	res := &PushResult{
-		Reserve:         ReserveVector{vec: &ws.reserve},
-		Residues:        &ws.resid,
-		PushParallelism: 1,
+		Reserve:  ReserveVector{vec: &ws.reserve},
+		Residues: &ws.resid,
 	}
 	res.Residues.set(0, seed, 1)
 	if maxHopK < 1 {
@@ -672,7 +442,7 @@ func hkPushPlus(g *graph.Snapshot, seed graph.NodeID, w *heatkernel.Weights, eps
 
 		// The budget cut is resolved before any push: the first frontier node
 		// whose degree would take PushOperations past the budget truncates the
-		// frontier, so the cut is a deterministic prefix at any parallelism.
+		// frontier, so the cut is a deterministic prefix.
 		truncated := false
 		if budget > 0 {
 			running := res.PushOperations
@@ -712,7 +482,7 @@ func hkPushPlus(g *graph.Snapshot, seed graph.NodeID, w *heatkernel.Weights, eps
 			suffixMax[i] = m
 		}
 
-		satisfied, err := drainFrontier(res, g, hop, frontier, stop, k, parallelism, ctl, track, target, suffixMax, restMax)
+		satisfied, err := drainFrontier(res, g, hop, frontier, stop, k, ctl, track, target, suffixMax, restMax)
 		if err != nil {
 			return res, err
 		}

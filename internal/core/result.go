@@ -64,20 +64,21 @@ type Stats struct {
 	// WalkParallelism is the number of goroutines the walk stage actually
 	// used after consulting the CPU gate.  It does not affect Scores.
 	WalkParallelism int `json:"walk_parallelism"`
-	// PushChunks counts the frontier chunks the push phase processed across
-	// all hops (deterministic in the frontier sizes; one per hop when every
-	// frontier stays below the chunking threshold).
-	PushChunks int64 `json:"push_chunks"`
-	// PushParallelism is the maximum number of goroutines the push phase used
-	// for any hop's frontier scan after consulting the CPU gate.  Like
-	// WalkParallelism it never affects Scores.
-	PushParallelism int `json:"push_parallelism"`
 	// PushTime, WalkTime and MergeTime are the wall-clock durations of the
 	// pipeline phases: the push, the sharded walks, and the deterministic
 	// walk merge plus score-vector materialization.
 	PushTime  time.Duration `json:"push_time_ns"`
 	WalkTime  time.Duration `json:"walk_time_ns"`
 	MergeTime time.Duration `json:"merge_time_ns"`
+	// PlanTime is the time between push and walks spent deciding whether to
+	// walk and preparing the walks: TEA+'s Inequality-11 decision and residue
+	// reduction, walk-entry collection and the alias-table rebuild.
+	PlanTime time.Duration `json:"plan_time_ns"`
+	// AuditTime is the time spent in the invariant audits (mass
+	// conservation, the Inequality-11 recheck and the result audit); zero
+	// when the query runs without an audit.  No two of the five durations
+	// overlap.
+	AuditTime time.Duration `json:"audit_time_ns"`
 	// WorkingSetBytes estimates the memory held by the per-query structures
 	// (reserve, residues, alias table, walk counters); the harness adds the
 	// graph size to mirror the paper's Figure 5 accounting.

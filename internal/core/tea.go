@@ -68,11 +68,9 @@ func teaWithWeights(g *graph.Snapshot, seed graph.NodeID, opts Options, w *heatk
 		maxHops = w.TruncationHop(1e-12)
 	}
 
-	// Stage 1: push, with per-hop frontier scans parallelized the same way
-	// the walk stage is (chunk set depends only on the frontier, so the
-	// result is bit-identical at any parallelism).
+	// Stage 1: push.
 	pushStart := time.Now()
-	push, err := hkPush(g, seed, w, rmax, maxHops, opts.Parallelism, ctl)
+	push, err := hkPush(g, seed, w, rmax, maxHops, ctl)
 	if err != nil {
 		return nil, fmt.Errorf("core: TEA push phase: %w", err)
 	}
@@ -80,42 +78,47 @@ func teaWithWeights(g *graph.Snapshot, seed graph.NodeID, opts Options, w *heatk
 	ctl.tr.Observe(trace.StagePush, pushStart, pushTime)
 	// Push only moves mass between reserve and residues, so their sum must
 	// still be the unit injected at the seed.
-	if err := auditMassConservation(ctl.audit, ctl.ws.reserve.massUnordered(), push.Residues.massUnordered()); err != nil {
+	var audit stageClock
+	if err := ctl.audited(&audit, func(a *InvariantAudit) error {
+		return auditMassConservation(a, ctl.ws.reserve.massUnordered(), push.Residues.massUnordered())
+	}); err != nil {
 		return nil, fmt.Errorf("core: TEA push phase: %w", err)
 	}
 
 	// Stage 2: residual/source collection.  α is summed over the sorted
 	// entries, the one pass that already exists for the alias table.
+	planStart := time.Now()
 	entries, weights := collectWalkEntries(push.Residues, ctl.ws)
 	alpha := sumWeights(weights)
 	planned := int64(math.Ceil(alpha * omega))
 	nr, clamped := ctl.clampWalks(planned)
 	plan, err := planWalkStage(ctl.ws, entries, weights, alpha, nr, opts.WalkLengthCap, walkSeed(opts.Seed, seed, teaSeedMix))
+	planTime := time.Since(planStart)
+	ctl.tr.Observe(trace.StagePlan, planStart, planTime)
 	if err != nil {
 		return nil, fmt.Errorf("core: TEA walk phase: %w", err)
 	}
 
-	// Stage 3: sharded Monte-Carlo walks.
+	// Stages 3-4: sharded Monte-Carlo walks, each round merged into the
+	// reserve slab in (shard, walk) order; then one materialization into the
+	// public flat score-vector form — the only point the sparse vector leaves
+	// the pooled workspace, and the query's only O(support) allocation.
 	walkStart := time.Now()
-	walked, err := runWalkStage(g, w, plan, opts.Parallelism, ctl)
+	walked, err := runWalkStage(g, w, plan, opts.Parallelism, ctl, mergeInto(&ctl.ws.reserve))
 	if err != nil {
 		return nil, fmt.Errorf("core: TEA walk phase: %w", err)
 	}
-	walkTime := time.Since(walkStart)
-	ctl.tr.Observe(trace.StageWalk, walkStart, walkTime)
-
-	// Stage 4: deterministic merge into the reserve slab, then one
-	// materialization into the public flat score-vector form — the only point
-	// the sparse vector leaves the pooled workspace, and the query's only
-	// O(support) allocation.
-	mergeStart := time.Now()
-	mergeWalkStage(&ctl.ws.reserve, walked)
+	ctl.tr.Observe(trace.StageWalk, walkStart, walked.walkTime)
+	matStart := time.Now()
 	scores := ctl.ws.reserve.toScoreVector()
-	mergeTime := time.Since(mergeStart)
+	mergeStart, mergeTime := walked.mergeSpan(matStart)
 	ctl.tr.Observe(trace.StageMerge, mergeStart, mergeTime)
-	if err := auditResult(ctl.audit, scores, 0); err != nil {
+	if err := ctl.audited(&audit, func(a *InvariantAudit) error {
+		return auditResult(a, scores, 0)
+	}); err != nil {
 		return nil, fmt.Errorf("core: TEA merge phase: %w", err)
 	}
+	audit.observe(ctl.tr, trace.StageAudit)
 
 	return &Result{
 		Seed:   seed,
@@ -131,11 +134,11 @@ func teaWithWeights(g *graph.Snapshot, seed graph.NodeID, opts Options, w *heatk
 			WalkBudgetPlanned:      plannedBudget(planned, clamped),
 			WalkShards:             walked.shards,
 			WalkParallelism:        walked.workers,
-			PushChunks:             push.FrontierChunks,
-			PushParallelism:        push.PushParallelism,
 			PushTime:               pushTime,
-			WalkTime:               walkTime,
+			WalkTime:               walked.walkTime,
 			MergeTime:              mergeTime,
+			PlanTime:               planTime,
+			AuditTime:              audit.total,
 			WorkingSetBytes: scoreVectorWorkingSetBytes(len(scores)) +
 				estimatedWorkingSetBytes(push.Residues.NonZeroEntries()) +
 				int64(len(entries))*24,
@@ -194,31 +197,36 @@ func monteCarloWithWeights(g *graph.Snapshot, seed graph.NodeID, opts Options, w
 		(opts.EpsRel * opts.EpsRel * opts.Delta)))
 	nr, clamped := ctl.clampWalks(planned)
 
+	planStart := time.Now()
 	ws := ctl.ws
 	entries := append(ws.entries[:0], walkEntry{node: seed, hop: 0, residue: 1})
 	weights := append(ws.weights[:0], 1)
 	ws.entries, ws.weights = entries, weights
 	plan, err := planWalkStage(ws, entries, weights, 1, nr, opts.WalkLengthCap, walkSeed(opts.Seed, seed, monteCarloSeedMix))
+	planTime := time.Since(planStart)
+	ctl.tr.Observe(trace.StagePlan, planStart, planTime)
 	if err != nil {
 		return nil, fmt.Errorf("core: Monte-Carlo walk phase: %w", err)
 	}
 
-	start := time.Now()
-	walked, err := runWalkStage(g, w, plan, opts.Parallelism, ctl)
+	walkStart := time.Now()
+	walked, err := runWalkStage(g, w, plan, opts.Parallelism, ctl, mergeInto(&ws.reserve))
 	if err != nil {
 		return nil, fmt.Errorf("core: Monte-Carlo walk phase: %w", err)
 	}
-	walkTime := time.Since(start)
-	ctl.tr.Observe(trace.StageWalk, start, walkTime)
+	ctl.tr.Observe(trace.StageWalk, walkStart, walked.walkTime)
 
-	mergeStart := time.Now()
-	mergeWalkStage(&ws.reserve, walked)
+	matStart := time.Now()
 	scores := ws.reserve.toScoreVector()
-	mergeTime := time.Since(mergeStart)
+	mergeStart, mergeTime := walked.mergeSpan(matStart)
 	ctl.tr.Observe(trace.StageMerge, mergeStart, mergeTime)
-	if err := auditResult(ctl.audit, scores, 0); err != nil {
+	var audit stageClock
+	if err := ctl.audited(&audit, func(a *InvariantAudit) error {
+		return auditResult(a, scores, 0)
+	}); err != nil {
 		return nil, fmt.Errorf("core: Monte-Carlo merge phase: %w", err)
 	}
+	audit.observe(ctl.tr, trace.StageAudit)
 
 	return &Result{
 		Seed:   seed,
@@ -231,8 +239,10 @@ func monteCarloWithWeights(g *graph.Snapshot, seed graph.NodeID, opts Options, w
 			WalkBudgetPlanned:      plannedBudget(planned, clamped),
 			WalkShards:             walked.shards,
 			WalkParallelism:        walked.workers,
-			WalkTime:               walkTime,
+			WalkTime:               walked.walkTime,
 			MergeTime:              mergeTime,
+			PlanTime:               planTime,
+			AuditTime:              audit.total,
 			WorkingSetBytes:        scoreVectorWorkingSetBytes(len(scores)),
 		},
 	}, nil

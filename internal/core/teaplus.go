@@ -52,46 +52,59 @@ func teaPlusWithWeights(g *graph.Snapshot, seed graph.NodeID, opts Options, w *h
 	k := hopCap(opts.C, opts.EpsRel, opts.Delta, g.AverageDegree(), w)
 
 	pushStart := time.Now()
-	push, err := hkPushPlus(g, seed, w, opts.EpsRel, opts.Delta, k, budget, opts.Parallelism, ctl)
+	push, err := hkPushPlus(g, seed, w, opts.EpsRel, opts.Delta, k, budget, ctl)
 	if err != nil {
 		return nil, fmt.Errorf("core: TEA+ push phase: %w", err)
 	}
 	pushTime := time.Since(pushStart)
 	ctl.tr.Observe(trace.StagePush, pushStart, pushTime)
+
+	target := opts.EpsRel * opts.Delta
 	// The conservation audit must run before reduceResidues below, which
-	// removes residue mass by design.
-	if err := auditMassConservation(ctl.audit, ctl.ws.reserve.massUnordered(), push.Residues.massUnordered()); err != nil {
+	// removes residue mass by design.  When the incremental tracker claimed
+	// Inequality (11), the claim is verified against a direct recomputation
+	// of its left-hand side.
+	var audit stageClock
+	if err := ctl.audited(&audit, func(a *InvariantAudit) error {
+		if err := auditMassConservation(a, ctl.ws.reserve.massUnordered(), push.Residues.massUnordered()); err != nil {
+			return err
+		}
+		if push.SatisfiedInequality11 {
+			return auditInequality11(a, push.Residues.NormalizedMaxSum(g), target)
+		}
+		return nil
+	}); err != nil {
 		return nil, fmt.Errorf("core: TEA+ push phase: %w", err)
 	}
 
-	target := opts.EpsRel * opts.Delta
-
 	stats := Stats{
-		PushOperations:  push.PushOperations,
-		PushedNodes:     push.PushedNodes,
-		MaxHop:          push.Residues.MaxHopWithMass(),
-		PushChunks:      push.FrontierChunks,
-		PushParallelism: push.PushParallelism,
-		PushTime:        pushTime,
+		PushOperations: push.PushOperations,
+		PushedNodes:    push.PushedNodes,
+		MaxHop:         push.Residues.MaxHopWithMass(),
+		PushTime:       pushTime,
 	}
 
 	// Line 7: if Inequality (11) holds the reserve already is a
-	// (d, εr, δ)-approximate HKPR vector (Theorem 2) — no walks needed.
+	// (d, εr, δ)-approximate HKPR vector (Theorem 2) — no walks needed.  A
+	// push the budget cut short has not checked its final state, so the
+	// decision rescans the residues; that rescan is planning time.
+	planStart := time.Now()
 	if push.SatisfiedInequality11 || push.Residues.NormalizedMaxSum(g) <= target {
-		// When the incremental tracker claimed the bound, verify the claim
-		// against a direct recomputation of Inequality (11)'s left-hand side.
-		if push.SatisfiedInequality11 {
-			if err := auditInequality11(ctl.audit, push.Residues.NormalizedMaxSum(g), target); err != nil {
-				return nil, fmt.Errorf("core: TEA+ push phase: %w", err)
-			}
+		if !push.SatisfiedInequality11 {
+			stats.PlanTime = time.Since(planStart)
+			ctl.tr.Observe(trace.StagePlan, planStart, stats.PlanTime)
 		}
 		mergeStart := time.Now()
 		scores := push.Reserve.ToScoreVector()
 		stats.MergeTime = time.Since(mergeStart)
 		ctl.tr.Observe(trace.StageMerge, mergeStart, stats.MergeTime)
-		if err := auditResult(ctl.audit, scores, 0); err != nil {
+		if err := ctl.audited(&audit, func(a *InvariantAudit) error {
+			return auditResult(a, scores, 0)
+		}); err != nil {
 			return nil, fmt.Errorf("core: TEA+ merge phase: %w", err)
 		}
+		audit.observe(ctl.tr, trace.StageAudit)
+		stats.AuditTime = audit.total
 		stats.EarlyTermination = true
 		stats.WorkingSetBytes = scoreVectorWorkingSetBytes(len(scores)) +
 			estimatedWorkingSetBytes(push.Residues.NonZeroEntries())
@@ -110,34 +123,39 @@ func teaPlusWithWeights(g *graph.Snapshot, seed graph.NodeID, opts Options, w *h
 	stats.WalkBudgetClamped = clamped
 	stats.WalkBudgetPlanned = plannedBudget(planned, clamped)
 	plan, err := planWalkStage(ctl.ws, entries, weights, alpha, nr, opts.WalkLengthCap, walkSeed(opts.Seed, seed, teaPlusSeedMix))
+	stats.PlanTime = time.Since(planStart)
+	ctl.tr.Observe(trace.StagePlan, planStart, stats.PlanTime)
 	if err != nil {
 		return nil, fmt.Errorf("core: TEA+ walk phase: %w", err)
 	}
 
 	walkStart := time.Now()
-	walked, err := runWalkStage(g, w, plan, opts.Parallelism, ctl)
+	walked, err := runWalkStage(g, w, plan, opts.Parallelism, ctl, mergeInto(&ctl.ws.reserve))
 	if err != nil {
 		return nil, fmt.Errorf("core: TEA+ walk phase: %w", err)
 	}
-	walkTime := time.Since(walkStart)
-	ctl.tr.Observe(trace.StageWalk, walkStart, walkTime)
-	mergeStart := time.Now()
-	mergeWalkStage(&ctl.ws.reserve, walked)
+	ctl.tr.Observe(trace.StageWalk, walkStart, walked.walkTime)
+	matStart := time.Now()
 	scores := ctl.ws.reserve.toScoreVector()
-	stats.MergeTime = time.Since(mergeStart)
-	ctl.tr.Observe(trace.StageMerge, mergeStart, stats.MergeTime)
+	mergeStart, mergeTime := walked.mergeSpan(matStart)
+	stats.MergeTime = mergeTime
+	ctl.tr.Observe(trace.StageMerge, mergeStart, mergeTime)
 	// target/2 is the per-degree offset applied below; the audit folds its
 	// sign and finiteness into the total-mass check.
-	if err := auditResult(ctl.audit, scores, target/2); err != nil {
+	if err := ctl.audited(&audit, func(a *InvariantAudit) error {
+		return auditResult(a, scores, target/2)
+	}); err != nil {
 		return nil, fmt.Errorf("core: TEA+ merge phase: %w", err)
 	}
+	audit.observe(ctl.tr, trace.StageAudit)
+	stats.AuditTime = audit.total
 
 	stats.RandomWalks = walked.walks
 	stats.WalkSteps = walked.steps
 	stats.ResidueMassBeforeWalks = alpha
 	stats.WalkShards = walked.shards
 	stats.WalkParallelism = walked.workers
-	stats.WalkTime = walkTime
+	stats.WalkTime = walked.walkTime
 	stats.WorkingSetBytes = scoreVectorWorkingSetBytes(len(scores)) +
 		estimatedWorkingSetBytes(push.Residues.NonZeroEntries()) +
 		int64(len(entries))*24
@@ -217,7 +235,7 @@ func TEAPlusNoReduction(src graph.Source, seed graph.NodeID, opts Options) (*Res
 	defer release()
 
 	pushStart := time.Now()
-	push, err := hkPushPlus(g, seed, w, opts.EpsRel, opts.Delta, k, budget, opts.Parallelism, ctl)
+	push, err := hkPushPlus(g, seed, w, opts.EpsRel, opts.Delta, k, budget, ctl)
 	if err != nil {
 		return nil, err
 	}
@@ -230,12 +248,10 @@ func TEAPlusNoReduction(src graph.Source, seed graph.NodeID, opts Options) (*Res
 	if err != nil {
 		return nil, err
 	}
-	walkStart := time.Now()
-	walked, err := runWalkStage(g, w, plan, opts.Parallelism, ctl)
+	walked, err := runWalkStage(g, w, plan, opts.Parallelism, ctl, mergeInto(&ctl.ws.reserve))
 	if err != nil {
 		return nil, err
 	}
-	mergeWalkStage(&ctl.ws.reserve, walked)
 	scores := ctl.ws.reserve.toScoreVector()
 	return &Result{
 		Seed:   seed,
@@ -249,10 +265,9 @@ func TEAPlusNoReduction(src graph.Source, seed graph.NodeID, opts Options) (*Res
 			MaxHop:                 push.Residues.MaxHopWithMass(),
 			WalkShards:             walked.shards,
 			WalkParallelism:        walked.workers,
-			PushChunks:             push.FrontierChunks,
-			PushParallelism:        push.PushParallelism,
 			PushTime:               pushTime,
-			WalkTime:               time.Since(walkStart),
+			WalkTime:               walked.walkTime,
+			MergeTime:              walked.mergeTime,
 			WorkingSetBytes: scoreVectorWorkingSetBytes(len(scores)) +
 				estimatedWorkingSetBytes(push.Residues.NonZeroEntries()),
 		},

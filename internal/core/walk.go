@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hkpr/internal/graph"
 	"hkpr/internal/heatkernel"
@@ -16,16 +17,20 @@ import (
 //	push phase (push.go)
 //	  → residual/source collection (collectWalkEntries + planWalkStage)
 //	  → sharded Monte-Carlo walk stage (runWalkStage)
-//	  → deterministic merge (mergeWalkStage)
+//	  → deterministic merge (mergeInto, called by runWalkStage per round)
 //
 // The walk stage splits the query's walk budget over a fixed number of
 // shards determined only by the budget itself — never by the parallelism —
 // and gives shard i an RNG derived from (walk seed, i).  Shards execute on
-// up to Options.Parallelism goroutines, each accumulating into a private
-// workspace scratch slab, and the merge folds the shard slabs into the
-// reserve slab in shard order.  Because shard contents and merge order are
-// independent of how shards were scheduled, the result is bit-identical for
-// a given seed at any parallelism; a serial run is simply parallelism 1.
+// up to Options.Parallelism goroutines, each recording its walks' end nodes
+// in its own contiguous range of one pooled list (4 B per walk, no n-sized
+// state per shard), and the merge adds α/nr to the reserve slab per end node
+// in (shard, walk) order.  A budget too large for one bounded list runs in
+// rounds of at most maxRoundWalks walks, each shard continuing its own RNG
+// stream, and each round merges in (shard, walk) order before the next
+// starts.  Because shard contents and merge order are independent of how
+// shards were scheduled, the result is bit-identical for a given seed at any
+// parallelism; a serial run is simply parallelism 1.
 
 // KRandomWalk implements Algorithm 2.  Starting at node u whose residue was
 // generated at hop k, the walk stops at the current node with probability
@@ -118,8 +123,12 @@ const (
 	// one query's walk stage.
 	maxWalkShards = 32
 	// minWalksPerShard keeps tiny walk phases unsharded: below this budget a
-	// shard's fixed costs (RNG seeding, slab reset) outweigh the walks.
+	// shard's fixed costs (RNG seeding, goroutine handoff) outweigh the walks.
 	minWalksPerShard = 512
+	// maxRoundWalks caps the end list (4 B per walk) of one round, so a huge
+	// walk budget — Monte-Carlo on a large graph, or a tiny εr — costs at
+	// most 4 MiB of end list rather than memory proportional to the budget.
+	maxRoundWalks = 1 << 20
 )
 
 // walkShardCount returns the number of shards the walk budget nr is split
@@ -159,6 +168,7 @@ type walkPlan struct {
 	lengthCap int
 	shards    int
 	seed      uint64 // query-level walk seed; shard i uses shardSeed(seed, i)
+	roundLen  int64  // walks per shard per round
 }
 
 // planWalkStage builds the walk plan from the collected sources into ws's
@@ -180,6 +190,7 @@ func planWalkStage(ws *Workspace, entries []walkEntry, weights []float64, alpha 
 		shards:    walkShardCount(nr),
 		seed:      seed,
 	}
+	ws.plan.roundLen = maxRoundWalks / int64(ws.plan.shards)
 	return &ws.plan, nil
 }
 
@@ -193,11 +204,31 @@ func (p *walkPlan) shardWalks(i int) int64 {
 	return base
 }
 
+// rounds returns the number of rounds the walk budget runs in: enough for
+// the largest shard at roundLen walks per round.
+func (p *walkPlan) rounds() int {
+	return int((p.shardWalks(0) + p.roundLen - 1) / p.roundLen)
+}
+
+// shardRound returns how many walks shard i runs in round r and where they
+// start in that round's end list.  Every round but the last runs roundLen
+// walks per shard; the last runs the remainder, split like shardWalks.
+func (p *walkPlan) shardRound(i, r int) (walks, offset int64) {
+	base, extra := p.nr/int64(p.shards), p.nr%int64(p.shards)
+	base -= int64(r) * p.roundLen
+	if base >= p.roundLen {
+		return p.roundLen, int64(i) * p.roundLen
+	}
+	walks = base
+	if int64(i) < extra {
+		walks++
+	}
+	return walks, int64(i)*base + min(int64(i), extra)
+}
+
 // runSharded executes run(i) for every i in [0, n) on up to workers
-// goroutines, stealing indices from a shared atomic counter.  It is the
-// scheduling substrate shared by the walk stage's shards and the push
-// phase's frontier chunks; unit contents must depend only on i so that
-// scheduling can never leak into results.
+// goroutines, stealing indices from a shared atomic counter.  Unit contents
+// must depend only on i so that scheduling can never leak into results.
 func runSharded(n, workers int, run func(int)) {
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -223,28 +254,43 @@ func runSharded(n, workers int, run func(int)) {
 	wg.Wait()
 }
 
-// walkStageResult carries the sharded walk stage's output into the merge
-// stage plus the counters for Stats.  shardScores aliases the workspace's
-// scratch slabs.
+// walkStageResult carries the walk stage's counters and timings for Stats.
 type walkStageResult struct {
-	shardScores []denseVec
-	walks       int64
-	steps       int64
-	shards      int
-	workers     int
+	walks   int64
+	steps   int64
+	shards  int
+	workers int
+	// mergeTime is the time spent in the merge callback, starting at
+	// mergeStart; walkTime is the rest of the stage.
+	walkTime, mergeTime time.Duration
+	mergeStart          time.Time
 }
 
-// runWalkStage executes the plan's shards on up to parallelism goroutines.
+// mergeSpan returns the merge stage's span: the rounds' merges plus the
+// score-vector materialization that began at matStart.
+func (r *walkStageResult) mergeSpan(matStart time.Time) (time.Time, time.Duration) {
+	d := r.mergeTime + time.Since(matStart)
+	if r.mergeStart.IsZero() {
+		return matStart, d
+	}
+	return r.mergeStart, d
+}
+
+// runWalkStage executes the plan's shards on up to parallelism goroutines,
+// round by round, handing each round's end list to merge in (shard, walk)
+// order together with α/nr, the score each walk carries to its end node.
 // When ctl carries a CPUGate, extra goroutines beyond the first are borrowed
 // from (and returned to) the shared token budget, so a busy serving engine
 // degrades each query toward serial execution instead of oversubscribing the
 // cores.  Each shard walks with its own RNG and cancellation checker and
-// accumulates into a private workspace scratch slab; shard contents depend
+// writes its end nodes into its own range of the workspace's end list, sized
+// for the round up front so no shard ever regrows it; shard contents depend
 // only on the plan, never on scheduling.
-func runWalkStage(g *graph.Snapshot, w *heatkernel.Weights, p *walkPlan, parallelism int, ctl execCtl) (walkStageResult, error) {
+func runWalkStage(g *graph.Snapshot, w *heatkernel.Weights, p *walkPlan, parallelism int, ctl execCtl, merge func(ends []graph.NodeID, increment float64)) (walkStageResult, error) {
 	if p == nil {
 		return walkStageResult{}, nil
 	}
+	stageStart := time.Now()
 	workers := parallelism
 	if workers < 1 {
 		workers = 1
@@ -259,57 +305,77 @@ func runWalkStage(g *graph.Snapshot, w *heatkernel.Weights, p *walkPlan, paralle
 	}
 
 	ws := ctl.ws
-	out := walkStageResult{
-		shardScores: ws.scratchSlabs(p.shards),
-		shards:      p.shards,
-		workers:     workers,
+	size := min(p.nr, int64(p.shards)*p.roundLen)
+	if int64(cap(ws.ends)) < size {
+		ws.ends = make([]graph.NodeID, size)
 	}
+	if cap(ws.shardRNG) < p.shards {
+		ws.shardRNG = make([]xrand.RNG, p.shards)
+	}
+	rngs := ws.shardRNG[:p.shards]
+	for i := range rngs {
+		rngs[i].Reseed(shardSeed(p.seed, i))
+	}
+	out := walkStageResult{shards: p.shards, workers: workers}
 	shardWalks, shardSteps, shardErrs := ws.shardCounters(p.shards)
+	increment := p.alpha / float64(p.nr)
 	var failed atomic.Bool
 
-	increment := p.alpha / float64(p.nr)
-	runShard := func(i int) {
-		if failed.Load() {
-			// Another shard hit cancellation; skip the remaining shards — the
-			// query is being abandoned and partial scores are discarded.
-			return
-		}
-		scores := &out.shardScores[i]
-		scores.grow(ws.n)
-		scores.reset()
-		budget := p.shardWalks(i)
-		if budget == 0 {
-			return
-		}
-		// The RNG and the cancellation fork are goroutine-local values: both
-		// mutate on every walk (RNG state, tick counter), so packing them
-		// into shared per-shard slices would false-share cache lines between
-		// shards running on different cores.
-		var rngVal xrand.RNG
-		rngVal.Reseed(shardSeed(p.seed, i))
-		rng := &rngVal
-		var cc *cancelChecker
-		if ctl.cc != nil {
-			fork := ctl.cc.forkValue()
-			cc = &fork
-		}
-		var steps int64
-		for n := int64(0); n < budget; n++ {
-			e := p.entries[p.alias.Sample(rng)]
-			end, st := KRandomWalk(g, rng, w, e.node, e.hop, p.lengthCap)
-			scores.add(end, increment)
-			steps += int64(st)
-			if err := cc.tick(st + 1); err != nil {
-				shardErrs[i] = err
-				shardWalks[i], shardSteps[i] = n+1, steps
-				failed.Store(true)
+	for r := range p.rounds() {
+		last, lastOff := p.shardRound(p.shards-1, r)
+		ends := ws.ends[:lastOff+last]
+		runShard := func(i int) {
+			if failed.Load() {
+				// Another shard hit cancellation; skip the remaining shards —
+				// the query is being abandoned and partial scores are
+				// discarded.
 				return
 			}
+			n, off := p.shardRound(i, r)
+			shardEnds := ends[off : off+n]
+			if len(shardEnds) == 0 {
+				return
+			}
+			// The RNG and the cancellation fork are goroutine-local values
+			// while the shard runs: both mutate on every walk (RNG state,
+			// tick counter), so working on the shared per-shard slices would
+			// false-share cache lines between shards on different cores.
+			rng := rngs[i]
+			var cc *cancelChecker
+			if ctl.cc != nil {
+				fork := ctl.cc.forkValue()
+				cc = &fork
+			}
+			var steps int64
+			for j := range shardEnds {
+				e := p.entries[p.alias.Sample(&rng)]
+				end, st := KRandomWalk(g, &rng, w, e.node, e.hop, p.lengthCap)
+				shardEnds[j] = end
+				steps += int64(st)
+				if err := cc.tick(st + 1); err != nil {
+					shardErrs[i] = err
+					shardWalks[i] += int64(j + 1)
+					shardSteps[i] += steps
+					failed.Store(true)
+					return
+				}
+			}
+			rngs[i] = rng
+			shardWalks[i] += int64(len(shardEnds))
+			shardSteps[i] += steps
 		}
-		shardWalks[i], shardSteps[i] = budget, steps
+		runSharded(p.shards, workers, runShard)
+		if failed.Load() {
+			break
+		}
+		mergeStart := time.Now()
+		if r == 0 {
+			out.mergeStart = mergeStart
+		}
+		merge(ends, increment)
+		out.mergeTime += time.Since(mergeStart)
 	}
-
-	runSharded(p.shards, workers, runShard)
+	out.walkTime = time.Since(stageStart) - out.mergeTime
 
 	for i := 0; i < p.shards; i++ {
 		out.walks += shardWalks[i]
@@ -323,15 +389,15 @@ func runWalkStage(g *graph.Snapshot, w *heatkernel.Weights, p *walkPlan, paralle
 	return out, nil
 }
 
-// mergeWalkStage folds the per-shard score deltas into the reserve slab in
-// shard order.  Every node's final score is reserve + Σ_i shard_i in a fixed
-// float-addition order (each node appears at most once on a shard's touched
-// list), which is what makes the pipeline's output parallelism-independent.
-func mergeWalkStage(scores *denseVec, res walkStageResult) {
-	for i := range res.shardScores {
-		shard := &res.shardScores[i]
-		for _, v := range shard.touched {
-			scores.add(v, shard.vals[v])
+// mergeInto returns the walk-stage merge that adds each walk's increment to
+// its end node's slot of scores.  Every node's final score is its reserve
+// plus its walk increments in (round, shard, walk) order — a fixed
+// float-addition order, which is what makes the pipeline's output
+// parallelism-independent.
+func mergeInto(scores *denseVec) func([]graph.NodeID, float64) {
+	return func(ends []graph.NodeID, increment float64) {
+		for _, v := range ends {
+			scores.add(v, increment)
 		}
 	}
 }

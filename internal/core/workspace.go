@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"weak"
 
 	"hkpr/internal/graph"
@@ -15,19 +16,18 @@ import (
 // replace the per-query hash maps the push and walk stages used to allocate.
 //
 // A Workspace bundles every per-query accumulator — the reserve slab, the
-// per-hop residue slabs, the per-chunk/per-shard scratch slabs and the small
-// flat buffers (frontier, suffix maxima, walk entries, RNGs) — sized to the
-// graph once and reused across queries via pooling.  Clearing a slab between
+// per-hop residue slabs and the small flat buffers (frontier, suffix maxima,
+// walk entries and end nodes, RNGs) — sized to the graph once and reused
+// across queries via pooling.  Clearing a slab between
 // queries (or hops) is O(touched): the slab's epoch is bumped and stale
 // entries are recognized by their out-of-date stamp, so a million-node slab
 // costs nothing to "empty" after a query that touched a few thousand nodes.
 //
 // Determinism: the slabs change only the storage, never the float-addition
-// order.  Every accumulation the map-based implementation performed in a
-// deterministic order (frontier order, chunk-merge order, shard-merge order)
-// happens in the identical order on slabs, so results remain bit-identical
-// for a fixed Options.Seed at any parallelism, and bit-identical to what a
-// fresh set of maps would produce.
+// order.  Every accumulation happens in a fixed order (frontier order, then
+// walk ends in (shard, walk) order), so results remain bit-identical for a
+// fixed Options.Seed at any parallelism, and bit-identical to what a fresh
+// set of maps would produce.
 
 // denseVec is an epoch-versioned dense float accumulator over node IDs with
 // an insertion-order list of touched nodes.  get/add/set are O(1) with no
@@ -139,32 +139,26 @@ func (d *denseVec) toScoreVector() ScoreVector {
 }
 
 // Workspace is the pooled per-query scratch state of the estimator pipeline:
-// dense reserve/residue slabs indexed by NodeID, per-chunk and per-shard
-// scratch accumulators, and the flat buffers of the collection stage.  Slabs
+// dense reserve/residue slabs indexed by NodeID and the flat buffers of the
+// collection and walk stages.  Slabs
 // are sized to the graph on first use (the serving layer sizes them at graph
 // load time via NewWorkspace) and reused for every subsequent query, so a
 // steady-state query performs no heap allocation and no hashing until its
 // result is materialized into the flat score-vector form at the API boundary.
 //
-// A Workspace must not be shared by concurrent queries.  The pipeline's
-// internal parallel stages are fine: chunk and shard goroutines each own a
-// distinct scratch slab and are joined before the query returns.
+// A Workspace must not be shared by concurrent queries.  The walk stage's
+// shard goroutines are fine: each writes its own range of the end list and
+// they are joined before the query returns.
 type Workspace struct {
 	n int // bound graph size
 
 	reserve denseVec       // reserve q_s, later the merged score vector
 	resid   ResidueVectors // per-hop residue slabs
 
-	// scratch holds the private accumulators of parallel stages: push chunk
-	// i and walk shard i both use scratch[i] (the stages never overlap).
-	// Bounded by max(maxPushChunks, maxWalkShards).
-	scratch []denseVec
-
 	// Flat per-query buffers reused across hops/queries.
 	frontier  []graph.NodeID
 	suffixMax []float64
 	hopMax    []float64
-	chunks    []pushChunk
 	entries   []walkEntry
 	weights   []float64
 	alias     xrand.Alias
@@ -172,6 +166,10 @@ type Workspace struct {
 	shardW    []int64
 	shardS    []int64
 	shardErr  []error
+	shardRNG  []xrand.RNG
+	// ends holds one walk round's end nodes in (shard, walk) order; shard i
+	// writes its own contiguous range (see walkPlan.shardRound).
+	ends []graph.NodeID
 
 	// batch holds the k-lane slabs of the batched multi-source mode
 	// (EstimateMany), allocated on first batched query; see batchvec.go.
@@ -180,7 +178,7 @@ type Workspace struct {
 
 // NewWorkspace returns a workspace bound to graphs of n nodes.  The reserve
 // slab is allocated eagerly (the serving layer calls this at graph load
-// time); residue and scratch slabs are allocated on first use, each sized n.
+// time); residue slabs are allocated on first use, each sized n.
 func NewWorkspace(n int) *Workspace {
 	ws := &Workspace{}
 	ws.begin(n)
@@ -194,28 +192,6 @@ func (ws *Workspace) begin(n int) {
 	ws.reserve.grow(n)
 	ws.reserve.reset()
 	ws.resid.begin(n)
-}
-
-// scratchSlabs returns k private scratch accumulators.  The outer slice is
-// grown here, single-threaded, so parallel stages can lazily grow and reset
-// their own element without racing on the slice header.
-func (ws *Workspace) scratchSlabs(k int) []denseVec {
-	for len(ws.scratch) < k {
-		ws.scratch = append(ws.scratch, denseVec{})
-	}
-	return ws.scratch[:k]
-}
-
-// chunkSlots returns k pushChunk slots, zeroed.
-func (ws *Workspace) chunkSlots(k int) []pushChunk {
-	if cap(ws.chunks) < k {
-		ws.chunks = make([]pushChunk, k)
-	}
-	ws.chunks = ws.chunks[:k]
-	for i := range ws.chunks {
-		ws.chunks[i] = pushChunk{}
-	}
-	return ws.chunks
 }
 
 // shardCounters returns the per-shard walk/step/error slices, zeroed.
@@ -243,25 +219,54 @@ func (ws *Workspace) shardCounters(k int) (walks, steps []int64, errs []error) {
 // several graphs keeps one slab set sized to each graph instead of converging
 // every pooled slab to the largest graph, which is what the old single shared
 // pool did.
-var workspacePools sync.Map // weak.Pointer[graph.Ident] -> *sync.Pool
+var workspacePools sync.Map // weak.Pointer[graph.Ident] -> *workspacePool
+
+// workspacePool recycles one logical graph's workspaces.  A sync.Pool alone
+// parks a released workspace in the releasing P's private slot, which no
+// other P can take, so a caller that resumed on another core missed the pool
+// and reallocated every slab: on 2 cores, hkprbench -perf saw one fresh
+// workspace per few TEA+ queries.  idle keeps the most recently released
+// workspace where every P finds it; further ones go to the sync.Pool, which
+// the GC may empty.
+type workspacePool struct {
+	idle atomic.Pointer[Workspace]
+	pool sync.Pool
+}
+
+// get returns a pooled workspace, or a fresh unsized one.
+func (p *workspacePool) get() *Workspace {
+	if ws := p.idle.Swap(nil); ws != nil {
+		return ws
+	}
+	if ws, ok := p.pool.Get().(*Workspace); ok {
+		return ws
+	}
+	return &Workspace{}
+}
+
+// put returns ws to the pool.
+func (p *workspacePool) put(ws *Workspace) {
+	if old := p.idle.Swap(ws); old != nil {
+		p.pool.Put(old)
+	}
+}
 
 // workspacePoolFor returns the workspace pool bound to g's logical-graph
 // identity, creating (and registering the cleanup for) it on first use.
-func workspacePoolFor(g *graph.Snapshot) *sync.Pool {
+func workspacePoolFor(g *graph.Snapshot) *workspacePool {
 	id := g.Ident()
 	key := weak.Make(id)
 	if p, ok := workspacePools.Load(key); ok {
-		return p.(*sync.Pool)
+		return p.(*workspacePool)
 	}
-	pool := &sync.Pool{New: func() any { return &Workspace{} }}
-	actual, loaded := workspacePools.LoadOrStore(key, pool)
+	actual, loaded := workspacePools.LoadOrStore(key, &workspacePool{})
 	if loaded {
-		return actual.(*sync.Pool)
+		return actual.(*workspacePool)
 	}
 	runtime.AddCleanup(id, func(k weak.Pointer[graph.Ident]) {
 		workspacePools.Delete(k)
 	}, key)
-	return pool
+	return actual.(*workspacePool)
 }
 
 // acquireWorkspace resolves the query's workspace: the caller-provided one
@@ -273,8 +278,8 @@ func acquireWorkspace(ctl *execCtl, g *graph.Snapshot) func() {
 		return func() {}
 	}
 	pool := workspacePoolFor(g)
-	ws := pool.Get().(*Workspace)
+	ws := pool.get()
 	ws.begin(g.N())
 	ctl.ws = ws
-	return func() { pool.Put(ws) }
+	return func() { pool.put(ws) }
 }

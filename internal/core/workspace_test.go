@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"hkpr/internal/gen"
 	"hkpr/internal/graph"
 	"hkpr/internal/heatkernel"
 )
@@ -80,7 +82,7 @@ func TestWorkspaceReuseIsDeterministic(t *testing.T) {
 	// original query on it explicitly.
 	ws := NewWorkspace(g.N())
 	for _, seed := range []graph.NodeID{1, 2, 3, 11} {
-		if _, err := hkPushPlus(g.Snapshot(), seed, w, 0.5, 0.01, 6, 1<<20, 2, execCtl{ws: ws}); err != nil {
+		if _, err := hkPushPlus(g.Snapshot(), seed, w, 0.5, 0.01, 6, 1<<20, execCtl{ws: ws}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,69 +139,12 @@ func TestResultIndependentOfWorkspace(t *testing.T) {
 	}
 }
 
-// TestChunkFrontierByDegree pins the degree-sum chunk balancing: boundaries
-// cover the frontier exactly, are monotone, and no chunk's degree-sum
-// exceeds a fair share by more than one node's worth — even when the
-// frontier is dominated by a hub.
-func TestChunkFrontierByDegree(t *testing.T) {
-	// A star: node 0 has degree n-1, the leaves degree 1.
-	n := 600
-	edges := make([][2]graph.NodeID, 0, n-1)
-	for v := 1; v < n; v++ {
-		edges = append(edges, [2]graph.NodeID{0, graph.NodeID(v)})
-	}
-	g := graph.FromEdges(n, edges)
-
-	frontier := make([]graph.NodeID, n)
-	for v := range frontier {
-		frontier[v] = graph.NodeID(v)
-	}
-	nChunks := 4
-	chunks := make([]pushChunk, nChunks)
-	chunkFrontierByDegree(g.Snapshot(), frontier, chunks)
-
-	if chunks[0].lo != 0 || chunks[nChunks-1].hi != len(frontier) {
-		t.Fatalf("boundaries do not span the frontier: %+v", chunks)
-	}
-	var total int64
-	weight := func(lo, hi int) int64 {
-		var s int64
-		for _, v := range frontier[lo:hi] {
-			s += 1 + int64(g.Degree(v))
-		}
-		return s
-	}
-	maxW := int64(0)
-	for i := range chunks {
-		c := chunks[i]
-		if c.lo > c.hi || (i > 0 && c.lo != chunks[i-1].hi) {
-			t.Fatalf("non-contiguous chunks: %+v", chunks)
-		}
-		w := weight(c.lo, c.hi)
-		total += w
-		if w > maxW {
-			maxW = w
-		}
-	}
-	// Node 0 carries weight n alone; each remaining chunk must stay close to
-	// the fair share of the leaves rather than inheriting a count-balanced
-	// quarter of the frontier.
-	fair := total/int64(nChunks) + int64(n) // one hub of slack
-	if maxW > fair {
-		t.Fatalf("degree-sum imbalance: max chunk weight %d, fair share %d", maxW, fair)
-	}
-	// The hub chunk must be much smaller in node count than n/nChunks.
-	if hubChunk := chunks[0]; hubChunk.hi-hubChunk.lo >= n/nChunks {
-		t.Fatalf("hub chunk not shrunk by degree balancing: [%d,%d)", hubChunk.lo, hubChunk.hi)
-	}
-}
-
 // TestSteadyStateAllocations is the zero-allocation guard for the estimator
 // hot path: once the workspace, weight table and pools are warm, a repeated
 // query's allocations are a small constant (the Result struct and the one
 // materialized flat score vector) — independent of the thousands of pushes
 // and walks performed — where the map-based implementation allocated per
-// hop, chunk and shard.
+// hop and shard.
 func TestSteadyStateAllocations(t *testing.T) {
 	g := parallelTestGraph(t)
 	est, err := NewEstimator(g, Options{Delta: 1 / float64(g.N()), FailureProb: 1e-4, Seed: 3})
@@ -269,7 +214,7 @@ func TestPerGraphWorkspacePools(t *testing.T) {
 	// bound means a big-graph slab leaked into the small graph's pool.
 	maxCap := small.N() + small.N()/4 + 8
 	for i := 0; i < 8; i++ {
-		ws := pool.Get().(*Workspace)
+		ws := pool.get()
 		if got := cap(ws.reserve.vals); got > maxCap {
 			t.Fatalf("small graph's pool holds a slab of capacity %d (> n=%d plus headroom): per-graph keying broken", got, small.N())
 		}
@@ -277,19 +222,69 @@ func TestPerGraphWorkspacePools(t *testing.T) {
 }
 
 // TestWorkspacePoolReusesSlabsPerGraph checks the pool actually recycles: a
-// second query on the same graph must find a workspace already sized to it.
+// second query on the same graph must find a workspace already sized to it,
+// even when it runs on another P than the first query released it on.
 func TestWorkspacePoolReusesSlabsPerGraph(t *testing.T) {
 	g := parallelTestGraph(t)
 	opts := Options{Delta: 1 / float64(g.N()), FailureProb: 1e-4, Seed: 2}
-	if _, err := TEA(g, 1, opts); err != nil {
+	done := make(chan error)
+	go func() {
+		_, err := TEA(g, 1, opts)
+		done <- err
+	}()
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	ws := workspacePoolFor(g.Snapshot()).Get().(*Workspace)
-	defer workspacePoolFor(g.Snapshot()).Put(ws)
-	// sync.Pool gives no hard guarantee an entry survived, but within one
-	// goroutine with no GC in between the just-released workspace is there;
-	// tolerate a fresh one only if its slabs are unallocated (not oversized).
-	if c := cap(ws.reserve.vals); c != 0 && c < g.N() {
-		t.Fatalf("pooled workspace has undersized slab: cap %d for n=%d", c, g.N())
+	runtime.GC()
+	pool := workspacePoolFor(g.Snapshot())
+	ws := pool.get()
+	defer pool.put(ws)
+	if c := cap(ws.reserve.vals); c < g.N() {
+		t.Fatalf("pooled workspace has slab capacity %d for n=%d: the released workspace was lost", c, g.N())
 	}
+}
+
+// TestWalkShardsRetainNoDenseSlabs guards the walk stage's memory: shards
+// record end nodes (4 B per walk), not n-sized accumulators.  After a
+// walk-heavy 32-shard query on a 100k-node graph, a fresh workspace must
+// retain less than (active residue levels + 2) dense slabs — the reserve and
+// residue slabs plus one slab's worth for everything else — so per-shard
+// dense accumulators cannot come back unnoticed.
+func TestWalkShardsRetainNoDenseSlabs(t *testing.T) {
+	g, err := gen.Grid3D(50, 50, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	// A loose rmax leaves the residue mass to ~160k walks.
+	est, err := NewEstimator(g, Options{Delta: 5e-4, FailureProb: 1e-4, RmaxScale: 1e4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ws := NewWorkspace(n)
+	res, err := est.TEAContext(OptionsContext{Workspace: ws}, graph.NodeID(n/2), Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, walks := res.Stats.WalkShards, res.Stats.RandomWalks
+	res = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	if shards != maxWalkShards {
+		t.Fatalf("query ran %d walk shards, want %d; the guard is vacuous", shards, maxWalkShards)
+	}
+	slab := int64(cap(ws.reserve.vals))*8 + int64(cap(ws.reserve.stamp))*4
+	limit := int64(ws.resid.NumHops()+2) * slab
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if retained > limit {
+		t.Fatalf("workspace retains %d B after %d walks on %d shards; want < %d B (%d residue levels + 2 slabs of %d B)",
+			retained, walks, shards, limit, ws.resid.NumHops(), slab)
+	}
+	t.Logf("workspace retains %d B (limit %d B) after %d walks on %d shards", retained, limit, walks, shards)
+	runtime.KeepAlive(ws)
 }

@@ -86,9 +86,6 @@ func TestAdaptiveParallelismIdleVsSaturated(t *testing.T) {
 		if wp := resps[i].Result.Stats.WalkParallelism; wp > tokens {
 			t.Fatalf("query %d used %d walk goroutines, budget is %d", i, wp, tokens)
 		}
-		if pp := resps[i].Result.Stats.PushParallelism; pp > tokens {
-			t.Fatalf("query %d used %d push goroutines, budget is %d", i, pp, tokens)
-		}
 	}
 	// With one worker the i-th execution sees queued-1-i waiting queries, and
 	// the adaptive formula degrades to P=1 whenever the depth is at least

@@ -385,18 +385,11 @@ func (e *Engine) runBatch(ct *task) {
 			res, err = results[i], srcErrs[i]
 		}
 		if res != nil {
-			st := &res.Stats
-			if st.PushTime > 0 {
-				e.metrics.observeStage(trace.StagePush, st.PushTime)
-				t.qt.Observe(trace.StagePush, execStart, st.PushTime)
-			}
-			if st.WalkTime > 0 {
-				e.metrics.observeStage(trace.StageWalk, st.WalkTime)
-				t.qt.Observe(trace.StageWalk, execStart, st.WalkTime)
-			}
-			if st.MergeTime > 0 {
-				e.metrics.observeStage(trace.StageMerge, st.MergeTime)
-				t.qt.Observe(trace.StageMerge, execStart, st.MergeTime)
+			for _, sd := range estimatorStages(&res.Stats) {
+				if sd.d > 0 {
+					e.metrics.observeStage(sd.stage, sd.d)
+					t.qt.Observe(sd.stage, execStart, sd.d)
+				}
 			}
 		}
 		if hook := e.auditHook; hook != nil {

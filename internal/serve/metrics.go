@@ -292,6 +292,25 @@ func (m *Metrics) observeLatency(d time.Duration) { m.latency.observe(d) }
 // observeStage records one stage duration in that stage's histogram.
 func (m *Metrics) observeStage(s trace.Stage, d time.Duration) { m.stage[s].observe(d) }
 
+// stageDuration pairs a trace stage with one of core's Stats timings.
+type stageDuration struct {
+	stage trace.Stage
+	d     time.Duration
+}
+
+// estimatorStages lists the estimator's five disjoint stage timings.  A zero
+// duration means the stage did not run (a Monte-Carlo query has no push) and
+// must not pollute that stage's buckets.
+func estimatorStages(st *core.Stats) [5]stageDuration {
+	return [5]stageDuration{
+		{trace.StagePush, st.PushTime},
+		{trace.StagePlan, st.PlanTime},
+		{trace.StageWalk, st.WalkTime},
+		{trace.StageMerge, st.MergeTime},
+		{trace.StageAudit, st.AuditTime},
+	}
+}
+
 // countError folds one failure into the taxonomy.  The caller is responsible
 // for calling it exactly once per failed query (finish for admitted tasks,
 // the explicit pre-admission return paths in Do for the rest).
@@ -570,7 +589,7 @@ func (e *Engine) WritePrometheus(w io.Writer) {
 	gauge("queue_depth", "Queries waiting in the admission queue.", int64(len(e.queue)))
 	gauge("queue_capacity", "Admission queue capacity.", int64(e.cfg.QueueDepth))
 	gauge("workers", "Worker goroutines.", int64(e.cfg.Workers))
-	gauge("cpu_tokens", "Shared CPU-token budget for workers, push chunks and walk shards.", int64(e.cfg.CPUTokens))
+	gauge("cpu_tokens", "Shared CPU-token budget for workers and walk shards.", int64(e.cfg.CPUTokens))
 	gauge("cpu_tokens_free", "CPU tokens currently free.", int64(e.cpu.freeTokens()))
 	adaptive := int64(0)
 	if e.cfg.Adaptive {

@@ -347,12 +347,21 @@ func TestServeSweepK(t *testing.T) {
 func TestSnapshotEWMAMirrorsQueueDepthWhenStatic(t *testing.T) {
 	e := newTestEngine(t, Config{Workers: 1, QueueDepth: 8})
 	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	// Cleanups run last-in first-out, so this one runs before the engine's
+	// Close: a failed assertion must not leave the worker blocked while
+	// Close waits for it.
+	t.Cleanup(unblock)
 	started := make(chan struct{})
-	e.execGate = func(r *Request) {
-		if r.Seed == 0 {
+	var first sync.Once
+	// Block whichever request executes first, so the other three queue
+	// behind it in whatever order they arrive.
+	e.execGate = func(*Request) {
+		first.Do(func() {
 			close(started)
 			<-release
-		}
+		})
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -388,7 +397,7 @@ func TestSnapshotEWMAMirrorsQueueDepthWhenStatic(t *testing.T) {
 			t.Fatal("queue_depth_ewma metric missing")
 		}
 	}
-	close(release)
+	unblock()
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {

@@ -8,9 +8,9 @@
 //     queries execute at once, at most QueueDepth more wait, and anything
 //     beyond that is shed immediately with ErrOverloaded instead of piling up
 //     latency;
-//   - token-based CPU accounting: workers and each query's parallel push
-//     chunks and Monte-Carlo walk shards (core's chunked push and sharded
-//     walk stages, enabled by Config.Parallelism) draw from one CPUTokens
+//   - token-based CPU accounting: workers and each query's Monte-Carlo walk
+//     shards (core's sharded walk stage behind a serial push, enabled by
+//     Config.Parallelism) draw from one CPUTokens
 //     budget, so an idle engine spends its whole budget on a single heavy
 //     query while a loaded engine degrades gracefully to one token per
 //     query; intra-query stages never push combined concurrency past the
@@ -133,9 +133,9 @@ type Config struct {
 	// fragment the result cache.
 	Parallelism int
 	// CPUTokens is the shared CPU budget (in goroutine tokens) that
-	// inter-query workers and intra-query push chunks and walk shards draw
-	// from.  Each executing query holds one token; its push and walk stages
-	// borrow up to Parallelism-1 extras only while they are free, so
+	// inter-query workers and intra-query walk shards draw from.  Each
+	// executing query holds one token; its walk stage borrows up to
+	// Parallelism-1 extras only while they are free, so
 	// combined concurrency never exceeds the budget and a loaded engine
 	// degrades toward one token per query.  <= 0 means
 	// max(Workers, GOMAXPROCS), which preserves the configured worker
@@ -397,7 +397,7 @@ type Response struct {
 	// Parallelism is the per-query parallelism the engine resolved for this
 	// execution: the request's own pin, the adaptive choice, or the engine
 	// default.  The goroutines actually used additionally depend on free CPU
-	// tokens (see Result.Stats.WalkParallelism / PushParallelism).  For
+	// tokens (see Result.Stats.WalkParallelism).  For
 	// cached responses it reports the value used when the entry was computed.
 	Parallelism int
 	// Trace is the per-stage execution trace, present when Request.Trace was
@@ -450,7 +450,7 @@ type Engine struct {
 	stale    *staleArena
 
 	// workspaces recycles the per-query dense scratch state (core.Workspace:
-	// reserve/residue slabs, chunk/shard accumulators, collection buffers),
+	// reserve/residue slabs, walk end lists, collection buffers),
 	// sized to the graph when the engine is built.  One workspace is checked
 	// out per admitted execution and returned when the execution finishes —
 	// including canceled and timed-out queries, whose internal goroutines
@@ -1077,15 +1077,10 @@ func (e *Engine) run(t *task) {
 	// histograms agree exactly).  Zero durations are skipped: a Monte-Carlo
 	// query has no push phase and must not pollute that stage's buckets.
 	if res != nil {
-		st := &res.Stats
-		if st.PushTime > 0 {
-			e.metrics.observeStage(trace.StagePush, st.PushTime)
-		}
-		if st.WalkTime > 0 {
-			e.metrics.observeStage(trace.StageWalk, st.WalkTime)
-		}
-		if st.MergeTime > 0 {
-			e.metrics.observeStage(trace.StageMerge, st.MergeTime)
+		for _, sd := range estimatorStages(&res.Stats) {
+			if sd.d > 0 {
+				e.metrics.observeStage(sd.stage, sd.d)
+			}
 		}
 	}
 	// Invariant bookkeeping: the test hook may inject violations, then the
@@ -1252,7 +1247,7 @@ func (e *Engine) smoothedQueueDepth() float64 {
 // (the sweep and the response epoch stamp must see the same view).
 func (e *Engine) execute(t *task, pol TierPolicy) (*core.Result, int, *graph.Snapshot, error) {
 	// Check out a workspace for the execution.  The estimator joins all of
-	// its chunk/shard goroutines before returning — on success, error and
+	// its walk-shard goroutines before returning — on success, error and
 	// cancellation alike — so the deferred return can never recycle slabs a
 	// stale goroutine still touches.
 	wsStart := time.Now()
@@ -1335,12 +1330,14 @@ func (e *Engine) finish(t *task, resp *Response, err error) {
 		delete(e.flight, t.key)
 	}
 	e.mu.Unlock()
-	close(t.done)
+	// Count before waking the waiters, so a caller that observed completion
+	// also observes its outcome in the metrics.
 	e.metrics.Completed.Add(1)
 	e.pending.Add(-1)
 	if err != nil {
 		e.metrics.countError(err)
 	}
+	close(t.done)
 }
 
 // normalizeMethod validates a request method, resolving "" to TEA+.

@@ -50,9 +50,16 @@ const (
 	// StageInvalidate is the scoped cache invalidation after an update: the
 	// affected-neighborhood BFS plus the cache scan.
 	StageInvalidate
+	// StagePlan is the estimator's work between push and walks: TEA+'s
+	// Inequality-11 decision and residue reduction, walk-entry collection
+	// and the alias-table rebuild.
+	StagePlan
+	// StageAudit is the estimator's invariant audits (mass conservation,
+	// the Inequality-11 recheck, the result audit), summed into one span.
+	StageAudit
 	// NumStages is the number of stages; valid stages are < NumStages.
-	// StageUpdate and StageInvalidate sit after the query stages so existing
-	// stage indices (and their histogram positions) are stable.
+	// Stages added after the query stages keep existing stage indices (and
+	// their histogram positions) stable.
 	NumStages
 )
 
@@ -67,6 +74,8 @@ var stageNames = [NumStages]string{
 	"render",
 	"update_apply",
 	"cache_invalidate",
+	"plan",
+	"audit",
 }
 
 // String returns the snake_case stage name used in metric labels and trace

@@ -168,7 +168,7 @@ func TestRecordJSONAndSummary(t *testing.T) {
 
 // TestStageString pins the label names shared with the metrics surface.
 func TestStageString(t *testing.T) {
-	want := []string{"queue_wait", "cache_lookup", "workspace", "push", "walk", "merge", "sweep", "render", "update_apply", "cache_invalidate"}
+	want := []string{"queue_wait", "cache_lookup", "workspace", "push", "walk", "merge", "sweep", "render", "update_apply", "cache_invalidate", "plan", "audit"}
 	if int(NumStages) != len(want) {
 		t.Fatalf("NumStages = %d, want %d", NumStages, len(want))
 	}

@@ -16,9 +16,10 @@ import (
 type (
 	// EngineConfig tunes an Engine: worker count, admission-queue depth,
 	// result-cache byte budget, default per-query timeout, the cancellation
-	// check interval, the per-query push/walk parallelism (static default or
-	// load-adaptive via Adaptive), and the shared CPU-token budget that keeps
-	// workers plus push chunks plus walk shards from oversubscribing cores.
+	// check interval, the per-query walk-shard parallelism (static default
+	// or load-adaptive via Adaptive; the push is serial), and the shared
+	// CPU-token budget that keeps workers plus walk shards from
+	// oversubscribing cores.
 	EngineConfig = serve.Config
 	// ServeRequest is a raw serving-layer query (seed, method, per-query
 	// option overrides, sweep and cache directives).
@@ -27,8 +28,8 @@ type (
 	// be shared with the engine's cache and must be treated as read-only.
 	ServeResponse = serve.Response
 	// TraceRecord is one completed query's immutable per-stage trace: stage
-	// spans (queue wait, cache lookup, workspace, push, walk, merge, sweep,
-	// render), the resolved parallelism, the cache outcome, the estimator's
+	// spans (queue wait, cache lookup, workspace, push, plan, walk, merge,
+	// audit, sweep, render), the resolved parallelism, the cache outcome, the estimator's
 	// execution statistics and the query's invariant-check counters.  Records
 	// are returned by Engine.Traces and on ServeResponse.Trace when a request
 	// sets Trace; they marshal directly to JSON.
